@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -228,3 +229,78 @@ def test_write_report_path_context():
     with pytest.raises(OSError) as err:
         write_report(report, "/nonexistent-dir/report.json", "json")
     assert "/nonexistent-dir/report.json" in str(err.value)
+
+
+# Report digests captured before the runner refactor: every kind at small
+# sizes, seed 0 and a nonzero seed with non-default optional keys.  Configs
+# go through from_mapping with string values, as a config file delivers them.
+# The gw rows come from numpy's PCG64 binomial draws, so the gw digests hold
+# only for the numpy version they were captured with (2.4.6); see the
+# reproducibility contract in the README.
+GOLDEN_REPORTS = [
+    (
+        {"kind": "supercritical", "d": "8", "c": "2.0", "trials": "3", "seed": "0"},
+        "c7de97cea7fbde22a903e33a6c298e313a484cc6a6abcfbecebefe23f48221e5",
+        "3e8fbfb9502093f0b1772476a8f9fb01b81f3568b9b2e0fff96f20e5818c3e37",
+    ),
+    (
+        {"kind": "supercritical", "d": "7", "c": "1.5", "trials": "3", "seed": "5",
+         "w_threshold": "10", "gap_lo": "2", "gap_hi": "20"},
+        "2280d0ae44b7fd60ceb7202d35519c7db72646bbe49289d62372c717d111b4d0",
+        "2ba92a7c2b76e0a0548f03c87d34b34d4feb28c62cd6e7d6918c415cd3f28072",
+    ),
+    (
+        {"kind": "subcritical", "d": "8", "eps": "0.3", "trials": "3", "seed": "0"},
+        "710fce90d7f350cd0a8e27216cf7b4fe364b1c1cd8a111850a3a42fdeabbea97",
+        "0e97307dfb1f2384f4220f3547f41c33aaaad98c53b849b030dc8bbfaf88c2cd",
+    ),
+    (
+        {"kind": "subcritical", "d": "8", "eps": "0.5", "trials": "3", "seed": "5"},
+        "d733c2f43b1d25ef13fc8fc5ec4d83e03cb61dc983e7b132690ffd1170648f2c",
+        "3d8dbef5c185d48a154280b405ea37129e293de16151636b6d98a99297f7a2d0",
+    ),
+    (
+        {"kind": "sprinkling", "d": "8", "c": "2.0", "trials": "3", "seed": "0"},
+        "aadca48914faaefe7406a789d2c02f0311a8340039d47b79ac4eac7f5818a43e",
+        "629ac09ee3fd830e51ce3980e5fa99aad8a44d7975979a9c3a8ce90556228f89",
+    ),
+    (
+        {"kind": "sprinkling", "d": "8", "c": "2.5", "trials": "3", "seed": "5",
+         "p2_exponent": "3", "w_threshold": "16"},
+        "b1a3d6450ea4fd72d82caae4282b161e5a800cfc7fad91da83a4263c0ac6948d",
+        "447881a3581e219b8f5dd4012d099c196744ac2deded706f3417287e9801187d",
+    ),
+    (
+        {"kind": "gw", "d": "6", "c": "2.0", "trials": "20", "seed": "0"},
+        "fe5ed88e79747699ef94a024d9179f7dec6ff6856e98be6fd284ed420eb0ab8a",
+        "6bee83fc20db6f3ecdd16449799db73c3c64a8559584208918c1928e7f2686a7",
+    ),
+    (
+        {"kind": "gw", "d": "6", "c": "0.8", "trials": "20", "seed": "5", "gw_progeny_cap": "200"},
+        "e79cda72fdd5075df527a28ec9173eef5f7b7b74490d96ddb91b9b2aa064f19b",
+        "1f738d32e10d10d7c482488a65f93bca0e335720e55df52cc8a75cc3989c03c8",
+    ),
+    (
+        {"kind": "hitprob", "d": "8", "c": "2.0", "trials": "10", "seed": "0"},
+        "35e9b117c548fda767c614653bbc89231da9591aa5f9a2641a52889c953fbb8b",
+        "dad32aac828268741f1396dae14713d9a1e2c372999d7428f39cfb58619305e1",
+    ),
+    (
+        {"kind": "hitprob", "d": "8", "c": "1.5", "trials": "10", "seed": "5", "w_threshold": "30"},
+        "8bf254e5355973a831977ed505e8b42ec1b74d507379340d62b94eb29c75d943",
+        "63e75b8967949e953856b352e434e11d4481105d8415965fea380fe79b0deafd",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mapping,json_sha,csv_sha",
+    GOLDEN_REPORTS,
+    ids=[f"{m['kind']}-seed{m['seed']}" for m, _, _ in GOLDEN_REPORTS],
+)
+def test_golden_report_bytes(tmp_path, mapping, json_sha, csv_sha):
+    report = run_experiment(ExperimentConfig.from_mapping(mapping))
+    assert hashlib.sha256(report.to_json_bytes()).hexdigest() == json_sha
+    path = tmp_path / "report.csv"
+    write_report(report, path, "csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha
