@@ -27,7 +27,7 @@ def main():
     for d in args.dims:
         exact = cp.gw_extinction(d, args.c / d).survival
         cfg = cp.ExperimentConfig(kind="gw", d=d, c=args.c, trials=args.trials, seed=args.seed)
-        report = cp.run_gw(cfg, workers=2)
+        report = cp.run_experiment(cfg, workers=2)
         simulated = report.aggregates["survival_rate"]
         print(f"{d:>6}  {exact:>15.7f}  {abs(exact - y):>12.2e}  {simulated:>10.5f}")
 

@@ -35,7 +35,7 @@ def main():
             seed=args.seed,
             p2_exponent=exponent,
         )
-        report = cp.run_sprinkling(cfg, workers=2)
+        report = cp.run_experiment(cfg, workers=2)
         agg = report.aggregates
         print(
             f"{exponent:>12.1f}  {report.theory['p2']:>12.3e}"

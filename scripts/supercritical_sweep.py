@@ -37,7 +37,7 @@ def main():
         cfg = cp.ExperimentConfig(
             kind="supercritical", d=args.d, c=c, trials=args.trials, seed=args.seed
         )
-        report = cp.run_supercritical(cfg, workers=args.workers)
+        report = cp.run_experiment(cfg, workers=args.workers)
         fractions = [r["l1"] / n for r in report.rows]
         rows.append(
             {

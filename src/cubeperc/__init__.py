@@ -8,11 +8,9 @@ oracles at desk scale.
 from .components import (
     ComponentLabeling,
     ExplorationResult,
-    HitProbability,
     WSet,
     distance_to_set,
     explore_component,
-    hit_probability,
     label_components,
     size_gap_count,
     w_set,
@@ -25,11 +23,6 @@ from .experiments import (
     parse_config_file,
     read_report_csv,
     run_experiment,
-    run_gw,
-    run_hitprob,
-    run_sprinkling,
-    run_subcritical,
-    run_supercritical,
     write_report,
 )
 from .hypercube import (
@@ -67,7 +60,6 @@ from .sampler import (
 )
 from .theory import (
     GWParams,
-    TheoryValues,
     TreeCountBound,
     binom_tail_geq,
     chernoff_interval_bound,
@@ -76,9 +68,7 @@ from .theory import (
     second_component_bound,
     solve_y,
     subcritical_bound,
-    theory_values,
     tree_count_bound,
-    y_near_critical,
 )
 
 __version__ = "0.1.0"

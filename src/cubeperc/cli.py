@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 
 from . import theory
 from .components import label_components, write_histogram_csv
 from .errors import CapacityError, ConfigError
 from .experiments import (
-    CONFIG_KEYS,
     ExperimentConfig,
-    ExperimentReport,
+    _r12,
+    config_field_type,
     parse_config_file,
     run_experiment,
     write_report,
@@ -52,16 +54,6 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def cmd_theory(args) -> int:
     out: dict = {}
     if args.c is not None:
@@ -80,7 +72,7 @@ def cmd_theory(args) -> int:
         out["subcritical_k"] = theory.subcritical_bound(args.d, args.eps)
     if not out:
         raise ConfigError("nothing to compute: pass --c and/or --d/--eps")
-    _emit(_round_floats(out))
+    _emit(_r12(out))
     return 0
 
 
@@ -114,25 +106,13 @@ def cmd_sim(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ConfigError(f"--workers must lie in [1, {cpus}] (the CPU count), got {args.workers}")
     mapping = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "kind": args.kind,
-        "d": args.d,
-        "c": args.c,
-        "eps": args.eps,
-        "trials": args.trials,
-        "seed": args.seed,
-        "w_threshold": args.w_threshold,
-        "p2_exponent": args.p2_exponent,
-        "gap_lo": args.gap_lo,
-        "gap_hi": args.gap_hi,
-        "gw_progeny_cap": args.gw_progeny_cap,
-        "out": args.out,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = value
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name) is not None:
+            mapping[f.name] = getattr(args, f.name)
     cfg = ExperimentConfig.from_mapping(mapping)
 
     def counter(done, total):
@@ -162,7 +142,7 @@ def cmd_oracle(args) -> int:
         count = count_subtrees(g, args.v, args.k)
         bound = theory.tree_count_bound(args.d, args.k)
         _emit(
-            _round_floats(
+            _r12(
                 {
                     "check": "subtrees",
                     "instance": {"d": args.d, "v": args.v, "k": args.k},
@@ -174,7 +154,7 @@ def cmd_oracle(args) -> int:
         g = SmallGraph.from_cube(CubeGraph(args.d))
         dist = exact_percolation_distribution(g, args.p)
         _emit(
-            _round_floats(
+            _r12(
                 {
                     "check": "exactdist",
                     "instance": {"d": args.d, "p": args.p},
@@ -211,19 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     p_exp.add_argument("--config", help="flat key = value config file")
-    p_exp.add_argument("--kind", choices=("supercritical", "subcritical", "sprinkling", "gw", "hitprob"))
-    p_exp.add_argument("--d", type=int)
-    p_exp.add_argument("--c", type=float)
-    p_exp.add_argument("--eps", type=float)
-    p_exp.add_argument("--trials", type=int)
-    p_exp.add_argument("--seed", type=_seed)
-    p_exp.add_argument("--w-threshold", dest="w_threshold", type=int)
-    p_exp.add_argument("--p2-exponent", dest="p2_exponent", type=float)
-    p_exp.add_argument("--gap-lo", dest="gap_lo", type=int)
-    p_exp.add_argument("--gap-hi", dest="gap_hi", type=int)
-    p_exp.add_argument("--gw-progeny-cap", dest="gw_progeny_cap", type=int)
-    p_exp.add_argument("--out", help="report destination path")
-    p_exp.add_argument("--format", choices=("csv", "json"))
+    for f in fields(ExperimentConfig):  # one flag per config key; it overrides the file
+        p_exp.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=_seed if f.name == "seed" else config_field_type(f),
+            choices=f.metadata.get("choices"),
+            help=f.metadata.get("help"),
+        )
     p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--progress", action="store_true", help="trial counter on stderr")
     p_exp.set_defaults(func=cmd_experiment)

@@ -8,14 +8,13 @@ exploration that consumes one random bit per queried edge.
 from __future__ import annotations
 
 import csv
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hypercube import CubeGraph, edge_endpoint_arrays
-from .sampler import BitStream, EdgeSample, SampleKey
+from .sampler import EdgeSample
 
 
 @dataclass
@@ -29,7 +28,6 @@ class ComponentLabeling:
 
     d: int
     labels: np.ndarray
-    sizes: dict[int, int]
     l1: int
     l2: int
     histogram: dict[int, int]
@@ -39,12 +37,6 @@ class ComponentLabeling:
     @property
     def n(self) -> int:
         return 1 << self.d
-
-    def component_of(self, v: int) -> int:
-        return int(self.labels[v])
-
-    def size_of(self, v: int) -> int:
-        return int(self.vertex_component_size[v])
 
 
 def _union_edges(n: int, us, vs) -> list[int]:
@@ -94,7 +86,6 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     )
     # first occurrence index of a root IS the smallest vertex in its component
     labels = first_idx.astype(np.int64)[inverse]
-    sizes = {int(r): int(c) for r, c in zip(first_idx, counts)}
     hist_sizes, hist_counts = np.unique(counts, return_counts=True)
     histogram = {int(s): int(c) for s, c in zip(hist_sizes, hist_counts)}
     l1 = int(counts.max())
@@ -102,7 +93,6 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     return ComponentLabeling(
         d=g.d,
         labels=labels,
-        sizes=sizes,
         l1=l1,
         l2=l2,
         histogram=histogram,
@@ -171,46 +161,6 @@ def explore_component(g: CubeGraph, v: int, stream, cap: int) -> ExplorationResu
         cap_hit=cap_hit,
         edges_queried=edges_queried,
         open_found=open_found,
-    )
-
-
-@dataclass(frozen=True)
-class HitProbability:
-    """Monte Carlo estimate of Pr[|C(v)| >= threshold]."""
-
-    estimate: float
-    stderr: float
-    hits: int
-    trials: int
-    threshold: int
-    p: float
-
-
-def hit_probability(
-    g: CubeGraph, p: float, threshold: int, trials: int, seed: int, start: int = 0
-) -> HitProbability:
-    """Fraction of independent explorations (cap = threshold) that hit the cap.
-
-    The start vertex defaults to 0; vertex-transitivity of the cube makes the
-    choice immaterial.
-    """
-    if threshold < 1:
-        raise ValueError(f"threshold must be at least 1, got {threshold}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    hits = 0
-    for trial in range(trials):
-        stream = BitStream(SampleKey(seed, trial, 0), p)
-        result = explore_component(g, start, stream, cap=threshold)
-        hits += result.cap_hit
-    q = hits / trials
-    return HitProbability(
-        estimate=q,
-        stderr=math.sqrt(q * (1.0 - q) / trials),
-        hits=hits,
-        trials=trials,
-        threshold=threshold,
-        p=float(p),
     )
 
 

@@ -3,6 +3,11 @@
 Declarative dataclass configs, trials keyed by (seed, trial) so rows are
 reproducible and order-independent, and reports written as commented CSV or
 structured JSON with floats rounded to 12 significant digits.
+
+Each experiment kind is one entry of ``KINDS``: its parameter and domain, a
+per-trial worker, a theory block and an aggregate.  ``run_experiment`` is the
+one runner; the config keys, their parsing and the CLI flags all come from the
+``ExperimentConfig`` fields.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,220 +27,31 @@ from .errors import ConfigError
 from .hypercube import CubeGraph
 from .sampler import BitStream, SampleKey, sample_edges, split_probability, union_samples
 
-KINDS = ("supercritical", "subcritical", "sprinkling", "gw", "hitprob")
-
-CONFIG_KEYS = (
-    "kind",
-    "d",
-    "c",
-    "eps",
-    "trials",
-    "seed",
-    "w_threshold",
-    "p2_exponent",
-    "gap_lo",
-    "gap_hi",
-    "gw_progeny_cap",
-    "out",
-    "format",
-)
+REPORT_FORMATS = ("csv", "json")
+MAX_TRIALS = 1 << 32  # trial indices must fit SampleKey's 32-bit field
 
 _GW_DOMAIN_TAG = 0x47570001  # keeps numpy-backed draws out of the edge-sampler streams
 
 
-def _r12(x: float) -> float:
-    """Round to 12 significant digits; the float contract for all reports."""
-    return float(f"{x:.12g}")
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment: what to run, at which parameters, under which seed.
-
-    Exactly one of ``c`` (supercritical-style kinds) or ``eps`` (subcritical)
-    is set.  Defaults: w_threshold = d^2, p2_exponent = 5, gap window
-    [ceil(d/(c-1-ln c)), floor(0.01 * 2^d)].
-    """
-
-    kind: str
-    d: int
-    c: float | None = None
-    eps: float | None = None
-    trials: int = 20
-    seed: int = 0
-    w_threshold: int | None = None
-    p2_exponent: float = 5.0
-    gap_lo: int | None = None
-    gap_hi: int | None = None
-    gw_progeny_cap: int = 10_000
-    out: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        problems = []
-        if self.kind not in KINDS:
-            problems.append(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.d, int) or self.d < 2:
-            problems.append(f"d must be an integer >= 2, got {self.d!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            problems.append(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            problems.append(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.kind == "subcritical":
-            if self.eps is None:
-                problems.append("eps is required for kind=subcritical")
-            elif not 0.0 < self.eps < 1.0:
-                problems.append(f"eps must lie in (0, 1), got {self.eps}")
-            if self.c is not None:
-                problems.append("c must be unset for kind=subcritical")
-        elif self.kind in KINDS:
-            if self.c is None:
-                problems.append(f"c is required for kind={self.kind}")
-            if self.eps is not None:
-                problems.append(f"eps must be unset for kind={self.kind}")
-            if self.c is not None and self.kind in ("supercritical", "sprinkling", "hitprob") and self.c <= 1.0:
-                problems.append(f"c must exceed 1 for kind={self.kind}, got {self.c}")
-            if self.c is not None and self.kind == "gw" and self.c < 0.0:
-                problems.append(f"c must be nonnegative for kind=gw, got {self.c}")
-        if self.w_threshold is not None and self.w_threshold < 1:
-            problems.append(f"w_threshold must be >= 1, got {self.w_threshold}")
-        if self.p2_exponent <= 0:
-            problems.append(f"p2_exponent must be positive, got {self.p2_exponent}")
-        if (self.gap_lo is None) != (self.gap_hi is None):
-            problems.append("gap_lo and gap_hi must be given together")
-        if self.gap_lo is not None and self.gap_hi is not None and self.gap_lo > self.gap_hi:
-            problems.append(f"gap window is empty: [{self.gap_lo}, {self.gap_hi}]")
-        if self.format not in ("csv", "json"):
-            problems.append(f"format must be csv or json, got {self.format!r}")
-        if problems:
-            raise ConfigError("invalid config: " + "; ".join(problems))
-
-    @property
-    def n(self) -> int:
-        return 1 << self.d
-
-    def resolved_w_threshold(self) -> int:
-        return self.w_threshold if self.w_threshold is not None else self.d * self.d
-
-    def resolved_gap_window(self) -> tuple[int, int]:
-        if self.gap_lo is not None:
-            return self.gap_lo, self.gap_hi
-        lo = math.ceil(theory.second_component_bound(self.c, self.d))
-        hi = math.floor(0.01 * self.n)
-        return lo, max(lo, hi)
-
-    def echo(self) -> dict:
-        """Semantic fields only; output destination/format stay out so the
-        report bytes do not depend on where they are written."""
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "c": self.c,
-            "eps": self.eps,
-            "trials": self.trials,
-            "seed": self.seed,
-            "w_threshold": self.w_threshold,
-            "p2_exponent": self.p2_exponent,
-            "gap_lo": self.gap_lo,
-            "gap_hi": self.gap_hi,
-            "gw_progeny_cap": self.gw_progeny_cap,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        bad = [k for k in mapping if k not in CONFIG_KEYS]
-        if bad:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
-        if "kind" not in mapping:
-            raise ConfigError("missing config key: kind")
-        if "d" not in mapping:
-            raise ConfigError("missing config key: d")
-
-        def as_int(name):
-            v = mapping.get(name)
-            if v is None:
-                return None
-            try:
-                return int(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {name} must be an integer, got {v!r}") from None
-
-        def as_float(name):
-            v = mapping.get(name)
-            if v is None:
-                return None
-            try:
-                return float(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {name} must be a number, got {v!r}") from None
-
-        kwargs = {
-            "kind": str(mapping["kind"]),
-            "d": as_int("d"),
-            "c": as_float("c"),
-            "eps": as_float("eps"),
-            "w_threshold": as_int("w_threshold"),
-            "gap_lo": as_int("gap_lo"),
-            "gap_hi": as_int("gap_hi"),
-        }
-        if "trials" in mapping:
-            kwargs["trials"] = as_int("trials")
-        if "seed" in mapping:
-            kwargs["seed"] = as_int("seed")
-        if "p2_exponent" in mapping:
-            kwargs["p2_exponent"] = as_float("p2_exponent")
-        if "gw_progeny_cap" in mapping:
-            kwargs["gw_progeny_cap"] = as_int("gw_progeny_cap")
-        if mapping.get("out") is not None:
-            kwargs["out"] = str(mapping["out"])
-        if "format" in mapping:
-            kwargs["format"] = str(mapping["format"])
-        return cls(**kwargs)
-
-
-def parse_config_file(path) -> dict:
-    """Flat key = value text; '#' starts a comment, blank lines ignored."""
-    mapping = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            mapping[key] = value
-    return mapping
-
-
-@dataclass
-class ExperimentReport:
-    """Config echo, attached theory values, per-trial rows, and aggregates."""
-
-    config: dict
-    theory: dict
-    rows: list[dict]
-    aggregates: dict
-
-    def to_json_bytes(self) -> bytes:
-        doc = {
-            "config": self.config,
-            "theory": self.theory,
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode()
+def _r12(x):
+    """Round every float, also inside dicts and lists, to 12 significant
+    digits; the float contract for all reports and CLI output."""
+    if isinstance(x, float):
+        return float(f"{x:.12g}")
+    if isinstance(x, dict):
+        return {k: _r12(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_r12(v) for v in x]
+    return x
 
 
 # ---------------------------------------------------------------------------
-# per-trial workers (module level so process pools can pickle them)
+# per-trial workers (module level so process pools can pickle them); each
+# takes (seed, trial, *params) with the params from its kind's theory block
 
 
 def _supercritical_trial(args) -> dict:
-    d, p, seed, trial, w_threshold, gap_lo, gap_hi = args
+    seed, trial, d, p, w_threshold, gap_lo, gap_hi = args
     g = CubeGraph(d)
     sample = sample_edges(g, SampleKey(seed, trial, 0), p)
     labeling = label_components(g, sample)
@@ -255,7 +72,7 @@ def _supercritical_trial(args) -> dict:
 
 
 def _subcritical_trial(args) -> dict:
-    d, p, seed, trial, bound = args
+    seed, trial, d, p, bound = args
     g = CubeGraph(d)
     sample = sample_edges(g, SampleKey(seed, trial, 0), p)
     labeling = label_components(g, sample)
@@ -269,7 +86,7 @@ def _subcritical_trial(args) -> dict:
 
 
 def _sprinkling_trial(args) -> dict:
-    d, p1, p2, seed, trial, w_threshold = args
+    seed, trial, d, p1, p2, w_threshold = args
     g = CubeGraph(d)
     g1 = sample_edges(g, SampleKey(seed, trial, 1), p1)
     g2 = sample_edges(g, SampleKey(seed, trial, 2), p2)
@@ -298,7 +115,7 @@ def _sprinkling_trial(args) -> dict:
 
 
 def _gw_trial(args) -> dict:
-    d, p, seed, trial, cap = args
+    seed, trial, d, p, cap = args
     # total offspring of a z-strong generation is Bin(z*d, p) exactly, so a
     # generation is one binomial draw; PCG64 keyed by (seed, trial) keeps
     # rows a pure function of their trial index
@@ -319,7 +136,7 @@ def _gw_trial(args) -> dict:
 
 
 def _hitprob_trial(args) -> dict:
-    d, p, seed, trial, threshold = args
+    seed, trial, d, p, threshold = args
     g = CubeGraph(d)
     stream = BitStream(SampleKey(seed, trial, 0), p)
     result = explore_component(g, 0, stream, cap=threshold)
@@ -329,6 +146,325 @@ def _hitprob_trial(args) -> dict:
         "size": result.size,
         "edges_queried": result.edges_queried,
     }
+
+
+# ---------------------------------------------------------------------------
+# theory blocks: (theory values the run is judged against, per-trial params)
+
+
+def _supercritical_theory(cfg: ExperimentConfig) -> tuple[dict, tuple]:
+    p = cfg.c / cfg.d
+    w_threshold = cfg.resolved_w_threshold()
+    gap_lo, gap_hi = cfg.resolved_gap_window()
+    block = {
+        "p": _r12(p),
+        "y": _r12(theory.solve_y(cfg.c)),
+        "second_component_bound": _r12(theory.second_component_bound(cfg.c, cfg.d)),
+        "w_threshold": w_threshold,
+        "gap_lo": gap_lo,
+        "gap_hi": gap_hi,
+    }
+    return block, (cfg.d, p, w_threshold, gap_lo, gap_hi)
+
+
+def _subcritical_theory(cfg: ExperimentConfig) -> tuple[dict, tuple]:
+    p = (1.0 - cfg.eps) / (cfg.d - 1)
+    bound = theory.subcritical_bound(cfg.d, cfg.eps)
+    block = {"p": _r12(p), "eps": cfg.eps, "subcritical_bound": _r12(bound)}
+    return block, (cfg.d, p, bound)
+
+
+def _sprinkling_theory(cfg: ExperimentConfig) -> tuple[dict, tuple]:
+    split = split_probability(cfg.c / cfg.d, cfg.d ** (-cfg.p2_exponent))
+    w_threshold = cfg.resolved_w_threshold()
+    block = {
+        "p": _r12(split.p),
+        "p1": _r12(split.p1),
+        "p2": _r12(split.p2),
+        "y": _r12(theory.solve_y(cfg.c)),
+        "w_threshold": w_threshold,
+    }
+    return block, (cfg.d, split.p1, split.p2, w_threshold)
+
+
+def _gw_theory(cfg: ExperimentConfig) -> tuple[dict, tuple]:
+    p = cfg.c / cfg.d
+    block = {
+        "p": _r12(p),
+        "exact_survival": _r12(theory.gw_extinction(cfg.d, p).survival),
+        "y": _r12(theory.solve_y(cfg.c)) if cfg.c > 1.0 + 1e-9 else None,
+        "progeny_cap": cfg.gw_progeny_cap,
+    }
+    return block, (cfg.d, p, cfg.gw_progeny_cap)
+
+
+def _hitprob_theory(cfg: ExperimentConfig) -> tuple[dict, tuple]:
+    p = cfg.c / cfg.d
+    threshold = cfg.resolved_w_threshold()
+    block = {"p": _r12(p), "y": _r12(theory.solve_y(cfg.c)), "threshold": threshold}
+    return block, (cfg.d, p, threshold)
+
+
+# ---------------------------------------------------------------------------
+# aggregates over the rows, in trial order
+
+
+def _column(rows, name):
+    return [row[name] for row in rows]
+
+
+def _summary(values, prefix):
+    return {
+        f"{prefix}_mean": _r12(statistics.fmean(values)),
+        f"{prefix}_std": _r12(statistics.pstdev(values)),
+        f"{prefix}_min": _r12(min(values)),
+        f"{prefix}_max": _r12(max(values)),
+    }
+
+
+def _rate(count, trials, name):
+    rate = count / trials
+    return {
+        f"{name}_rate": _r12(rate),
+        f"{name}_se": _r12(math.sqrt(rate * (1.0 - rate) / trials)),
+    }
+
+
+def _supercritical_aggregate(cfg: ExperimentConfig, rows) -> dict:
+    l1s = _column(rows, "l1")
+    return {
+        **_summary(l1s, "l1"),
+        "l1_over_n_mean": _r12(statistics.fmean(l1s) / cfg.n),
+        **_summary(_column(rows, "l2"), "l2"),
+        **_summary(_column(rows, "n_components"), "n_components"),
+        **_summary(_column(rows, "w_density"), "w_density"),
+        "gap_zero_trials": sum(1 for r in rows if r["gap_count"] == 0),
+        "max_dist_w_max": max(_column(rows, "max_dist_w")),
+    }
+
+
+def _subcritical_aggregate(cfg: ExperimentConfig, rows) -> dict:
+    return {
+        **_summary(_column(rows, "l1"), "l1"),
+        **_summary(_column(rows, "n_components"), "n_components"),
+        "exceed_count": sum(_column(rows, "exceeds_bound")),
+    }
+
+
+def _sprinkling_aggregate(cfg: ExperimentConfig, rows) -> dict:
+    total_open = sum(_column(rows, "union_open_count"))
+    return {
+        "merge_ok_count": sum(_column(rows, "merge_ok")),
+        "g1_premerged_count": sum(_column(rows, "g1_premerged")),
+        **_summary(_column(rows, "w1_size"), "w1_size"),
+        **_summary(_column(rows, "l1_union"), "l1_union"),
+        "union_open_total": total_open,
+        "union_open_rate_pooled": _r12(total_open / (cfg.trials * CubeGraph(cfg.d).m)),
+    }
+
+
+def _gw_aggregate(cfg: ExperimentConfig, rows) -> dict:
+    survived = sum(_column(rows, "survived"))
+    return {
+        "survived_count": survived,
+        **_rate(survived, cfg.trials, "survival"),
+        **_summary(_column(rows, "generations"), "generations"),
+    }
+
+
+def _hitprob_aggregate(cfg: ExperimentConfig, rows) -> dict:
+    hits = sum(_column(rows, "hit"))
+    return {"hit_count": hits, **_rate(hits, cfg.trials, "hit")}
+
+
+class Kind(NamedTuple):
+    """One experiment kind: the config field that sets its edge probability
+    and that field's domain, the per-trial worker, the theory block and the
+    aggregate."""
+
+    param: str
+    domain: str
+    in_domain: Callable[[float], bool]
+    trial: Callable[[tuple], dict]
+    theory: Callable[[ExperimentConfig], tuple[dict, tuple]]
+    aggregate: Callable[[ExperimentConfig, list], dict]
+
+
+KINDS = {
+    "supercritical": Kind(
+        "c", "exceed 1", lambda c: c > 1.0, _supercritical_trial, _supercritical_theory, _supercritical_aggregate
+    ),
+    "subcritical": Kind(
+        "eps", "lie in (0, 1)", lambda e: 0.0 < e < 1.0, _subcritical_trial, _subcritical_theory, _subcritical_aggregate
+    ),
+    "sprinkling": Kind(
+        "c", "exceed 1", lambda c: c > 1.0, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate
+    ),
+    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate),
+    "hitprob": Kind("c", "exceed 1", lambda c: c > 1.0, _hitprob_trial, _hitprob_theory, _hitprob_aggregate),
+}
+
+
+# ---------------------------------------------------------------------------
+# config
+
+
+_SCALAR_TYPES = {"int": int, "float": float, "str": str}
+
+
+def config_field_type(f: Field) -> type:
+    """The scalar type a config field's values are coerced to.  Annotations
+    are strings here (``from __future__ import annotations``), such as
+    ``"int | None"``."""
+    return _SCALAR_TYPES[f.type.split(" | ")[0]]
+
+
+@dataclass
+class ExperimentConfig:
+    """One experiment: what to run, at which parameters, under which seed.
+
+    Exactly one of ``c`` (supercritical-style kinds) or ``eps`` (subcritical)
+    is set.  Defaults: w_threshold = d^2, p2_exponent = 5, gap window
+    [ceil(d/(c-1-ln c)), floor(0.01 * 2^d)].  The fields are the config keys
+    and the ``cubeperc experiment`` flags; a field's metadata may carry its
+    ``choices``, a ``help`` line, and ``echo=False`` to keep it out of the
+    report.
+    """
+
+    kind: str = field(metadata={"choices": tuple(KINDS)})
+    d: int
+    c: float | None = None
+    eps: float | None = None
+    trials: int = 20
+    seed: int = 0
+    w_threshold: int | None = None
+    p2_exponent: float = 5.0
+    gap_lo: int | None = None
+    gap_hi: int | None = None
+    gw_progeny_cap: int = 10_000
+    out: str | None = field(default=None, metadata={"help": "report destination path", "echo": False})
+    format: str = field(default="json", metadata={"choices": REPORT_FORMATS, "echo": False})
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        problems = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                problems.append(f"{f.name} must be one of {f.metadata['choices']}, got {value!r}")
+        if not isinstance(self.d, int) or self.d < 2:
+            problems.append(f"d must be an integer >= 2, got {self.d!r}")
+        if not isinstance(self.trials, int) or not 1 <= self.trials <= MAX_TRIALS:
+            problems.append(f"trials must be an integer in [1, 2^32], got {self.trials!r}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            problems.append(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        spec = KINDS.get(self.kind)
+        if spec is not None:
+            value = getattr(self, spec.param)
+            if value is None:
+                problems.append(f"{spec.param} is required for kind={self.kind}")
+            elif not spec.in_domain(value):
+                problems.append(f"{spec.param} must {spec.domain} for kind={self.kind}, got {value}")
+            for other in sorted({k.param for k in KINDS.values()} - {spec.param}):
+                if getattr(self, other) is not None:
+                    problems.append(f"{other} must be unset for kind={self.kind}")
+        if self.w_threshold is not None and self.w_threshold < 1:
+            problems.append(f"w_threshold must be >= 1, got {self.w_threshold}")
+        if self.p2_exponent <= 0:
+            problems.append(f"p2_exponent must be positive, got {self.p2_exponent}")
+        if (self.gap_lo is None) != (self.gap_hi is None):
+            problems.append("gap_lo and gap_hi must be given together")
+        if self.gap_lo is not None and self.gap_hi is not None and self.gap_lo > self.gap_hi:
+            problems.append(f"gap window is empty: [{self.gap_lo}, {self.gap_hi}]")
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
+
+    @property
+    def n(self) -> int:
+        return 1 << self.d
+
+    def resolved_w_threshold(self) -> int:
+        return self.w_threshold if self.w_threshold is not None else self.d * self.d
+
+    def resolved_gap_window(self) -> tuple[int, int]:
+        if self.gap_lo is not None:
+            return self.gap_lo, self.gap_hi
+        lo = math.ceil(theory.second_component_bound(self.c, self.d))
+        hi = math.floor(0.01 * self.n)
+        return lo, max(lo, hi)
+
+    def echo(self) -> dict:
+        """Semantic fields only; output destination/format stay out so the
+        report bytes do not depend on where they are written."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata.get("echo", True)}
+
+    @classmethod
+    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
+        """Build a config from key -> value (strings from a config file, or
+        typed values); each value is coerced by its field's type, and None
+        leaves a field at its default."""
+        bad = sorted(k for k in mapping if k not in CONFIG_KEYS)
+        if bad:
+            raise ConfigError(f"unknown config keys: {', '.join(bad)}")
+        kwargs = {}
+        for f in fields(cls):
+            value = mapping.get(f.name)
+            if value is None:
+                if f.default is MISSING:
+                    raise ConfigError(f"missing config key: {f.name}")
+                continue
+            typ = config_field_type(f)
+            try:
+                kwargs[f.name] = typ(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config key {f.name} must be of type {typ.__name__}, got {value!r}") from None
+        return cls(**kwargs)
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def parse_config_file(path) -> dict:
+    """Flat key = value text; '#' starts a comment, blank lines ignored, and a
+    key may appear once."""
+    mapping = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in mapping:
+                raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
+            mapping[key] = value
+    return mapping
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+
+@dataclass
+class ExperimentReport:
+    """Config echo, attached theory values, per-trial rows, and aggregates."""
+
+    config: dict
+    theory: dict
+    rows: list[dict]
+    aggregates: dict
+
+    def to_json_bytes(self) -> bytes:
+        doc = {
+            "config": self.config,
+            "theory": self.theory,
+            "rows": self.rows,
+            "aggregates": self.aggregates,
+        }
+        return (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def _map_trials(fn, args_list, workers, on_trial):
@@ -350,158 +486,19 @@ def _map_trials(fn, args_list, workers, on_trial):
     return rows
 
 
-def _column(rows, name):
-    return [row[name] for row in rows]
-
-
-def _summary(values, prefix):
-    lo, hi = min(values), max(values)
-    return {
-        f"{prefix}_mean": _r12(statistics.fmean(values)),
-        f"{prefix}_std": _r12(statistics.pstdev(values)),
-        f"{prefix}_min": lo if isinstance(lo, int) else _r12(lo),
-        f"{prefix}_max": hi if isinstance(hi, int) else _r12(hi),
-    }
-
-
-# ---------------------------------------------------------------------------
-# runners
-
-
-def run_supercritical(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
-    if cfg.kind != "supercritical":
-        raise ConfigError(f"expected kind=supercritical, got {cfg.kind}")
-    p = cfg.c / cfg.d
-    w_threshold = cfg.resolved_w_threshold()
-    gap_lo, gap_hi = cfg.resolved_gap_window()
-    y = theory.solve_y(cfg.c)
-    theory_block = {
-        "p": _r12(p),
-        "y": _r12(y),
-        "second_component_bound": _r12(theory.second_component_bound(cfg.c, cfg.d)),
-        "w_threshold": w_threshold,
-        "gap_lo": gap_lo,
-        "gap_hi": gap_hi,
-    }
-    args = [(cfg.d, p, cfg.seed, t, w_threshold, gap_lo, gap_hi) for t in range(cfg.trials)]
-    rows = _map_trials(_supercritical_trial, args, workers, on_trial)
-    n = cfg.n
-    l1s = _column(rows, "l1")
-    aggregates = {
-        **_summary(l1s, "l1"),
-        "l1_over_n_mean": _r12(statistics.fmean(l1s) / n),
-        **_summary(_column(rows, "l2"), "l2"),
-        **_summary(_column(rows, "n_components"), "n_components"),
-        **_summary(_column(rows, "w_density"), "w_density"),
-        "gap_zero_trials": sum(1 for r in rows if r["gap_count"] == 0),
-        "max_dist_w_max": max(_column(rows, "max_dist_w")),
-    }
-    return ExperimentReport(cfg.echo(), theory_block, rows, aggregates)
-
-
-def run_subcritical(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
-    if cfg.kind != "subcritical":
-        raise ConfigError(f"expected kind=subcritical, got {cfg.kind}")
-    p = (1.0 - cfg.eps) / (cfg.d - 1)
-    bound = theory.subcritical_bound(cfg.d, cfg.eps)
-    theory_block = {"p": _r12(p), "eps": cfg.eps, "subcritical_bound": _r12(bound)}
-    args = [(cfg.d, p, cfg.seed, t, bound) for t in range(cfg.trials)]
-    rows = _map_trials(_subcritical_trial, args, workers, on_trial)
-    aggregates = {
-        **_summary(_column(rows, "l1"), "l1"),
-        **_summary(_column(rows, "n_components"), "n_components"),
-        "exceed_count": sum(_column(rows, "exceeds_bound")),
-    }
-    return ExperimentReport(cfg.echo(), theory_block, rows, aggregates)
-
-
-def run_sprinkling(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
-    if cfg.kind != "sprinkling":
-        raise ConfigError(f"expected kind=sprinkling, got {cfg.kind}")
-    p = cfg.c / cfg.d
-    p2 = cfg.d ** (-cfg.p2_exponent)
-    split = split_probability(p, p2)
-    w_threshold = cfg.resolved_w_threshold()
-    y = theory.solve_y(cfg.c)
-    theory_block = {
-        "p": _r12(p),
-        "p1": _r12(split.p1),
-        "p2": _r12(split.p2),
-        "y": _r12(y),
-        "w_threshold": w_threshold,
-    }
-    args = [(cfg.d, split.p1, split.p2, cfg.seed, t, w_threshold) for t in range(cfg.trials)]
-    rows = _map_trials(_sprinkling_trial, args, workers, on_trial)
-    g = CubeGraph(cfg.d)
-    total_open = sum(_column(rows, "union_open_count"))
-    aggregates = {
-        "merge_ok_count": sum(_column(rows, "merge_ok")),
-        "g1_premerged_count": sum(_column(rows, "g1_premerged")),
-        **_summary(_column(rows, "w1_size"), "w1_size"),
-        **_summary(_column(rows, "l1_union"), "l1_union"),
-        "union_open_total": total_open,
-        "union_open_rate_pooled": _r12(total_open / (cfg.trials * g.m)),
-    }
-    return ExperimentReport(cfg.echo(), theory_block, rows, aggregates)
-
-
-def run_gw(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
-    if cfg.kind != "gw":
-        raise ConfigError(f"expected kind=gw, got {cfg.kind}")
-    p = cfg.c / cfg.d
-    exact = theory.gw_extinction(cfg.d, p)
-    theory_block = {
-        "p": _r12(p),
-        "exact_survival": _r12(exact.survival),
-        "y": _r12(theory.solve_y(cfg.c)) if cfg.c > 1.0 + 1e-9 else None,
-        "progeny_cap": cfg.gw_progeny_cap,
-    }
-    args = [(cfg.d, p, cfg.seed, t, cfg.gw_progeny_cap) for t in range(cfg.trials)]
-    rows = _map_trials(_gw_trial, args, workers, on_trial)
-    survived = sum(_column(rows, "survived"))
-    rate = survived / cfg.trials
-    aggregates = {
-        "survived_count": survived,
-        "survival_rate": _r12(rate),
-        "survival_se": _r12(math.sqrt(rate * (1.0 - rate) / cfg.trials)),
-        **_summary(_column(rows, "generations"), "generations"),
-    }
-    return ExperimentReport(cfg.echo(), theory_block, rows, aggregates)
-
-
-def run_hitprob(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
-    if cfg.kind != "hitprob":
-        raise ConfigError(f"expected kind=hitprob, got {cfg.kind}")
-    p = cfg.c / cfg.d
-    threshold = cfg.resolved_w_threshold()
-    theory_block = {
-        "p": _r12(p),
-        "y": _r12(theory.solve_y(cfg.c)),
-        "threshold": threshold,
-    }
-    args = [(cfg.d, p, cfg.seed, t, threshold) for t in range(cfg.trials)]
-    rows = _map_trials(_hitprob_trial, args, workers, on_trial)
-    hits = sum(_column(rows, "hit"))
-    rate = hits / cfg.trials
-    aggregates = {
-        "hit_count": hits,
-        "hit_rate": _r12(rate),
-        "hit_se": _r12(math.sqrt(rate * (1.0 - rate) / cfg.trials)),
-    }
-    return ExperimentReport(cfg.echo(), theory_block, rows, aggregates)
-
-
-_RUNNERS = {
-    "supercritical": run_supercritical,
-    "subcritical": run_subcritical,
-    "sprinkling": run_sprinkling,
-    "gw": run_gw,
-    "hitprob": run_hitprob,
-}
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
-    return _RUNNERS[cfg.kind](cfg, workers=workers, on_trial=on_trial)
+    """Run the config's trials, on at most ``min(workers, trials)`` processes.
+
+    Rows depend only on (seed, trial), so the report bytes do not depend on
+    ``workers``.  ``on_trial(done, total)`` is called as trials complete.
+    """
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    spec = KINDS[cfg.kind]
+    block, params = spec.theory(cfg)
+    args = [(cfg.seed, t, *params) for t in range(cfg.trials)]
+    rows = _map_trials(spec.trial, args, min(workers, cfg.trials), on_trial)
+    return ExperimentReport(cfg.echo(), block, rows, spec.aggregate(cfg, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +514,8 @@ def _format_value(v) -> str:
 def write_report(report: ExperimentReport, path, format: str = "json") -> None:
     """Write the report; CSV is one row per trial under a commented config
     header, JSON is the full structure.  Deterministic byte-for-byte."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {format!r}")
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
     try:
         if format == "json":
             with open(path, "wb") as fh:

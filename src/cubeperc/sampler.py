@@ -27,9 +27,11 @@ output is splitmix64 seeded at ``state``, i.e. a bijection of the counter.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .hypercube import MAX_DIMENSION
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -179,9 +181,8 @@ def union_samples(a: EdgeSample, b: EdgeSample) -> EdgeSample:
 class BitStream:
     """Sequential Bernoulli(p) bit source: bit i is uniform01(key, i) < p.
 
-    Consumed bits are recorded, so the stream can report how many bits were
-    used and the maximum number of ones over every contiguous window of a
-    requested length (the interval statistic of the subcritical argument).
+    Bits are drawn a block at a time; only the current block is held, and
+    ``consumed`` counts the bits used so far.
     """
 
     def __init__(self, key: SampleKey, p: float, block: int = 8192):
@@ -191,18 +192,18 @@ class BitStream:
         self.p = float(p)
         self._block = int(block)
         self._state = np.uint64(_stream_state(key))
-        self._chunks: list[np.ndarray] = []
+        self._blocks = 0
         self._buf: np.ndarray | None = None
         self._pos = 0
         self.consumed = 0
 
     def _refill(self) -> None:
-        start = len(self._chunks) * self._block
+        start = self._blocks * self._block
         counters = np.arange(start, start + self._block, dtype=np.uint64)
         x = self._state + counters * np.uint64(_GAMMA)
         u = (_mix64_np(x) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
         self._buf = (u < self.p).astype(np.uint8)
-        self._chunks.append(self._buf)
+        self._blocks += 1
         self._pos = 0
 
     def next_bit(self) -> int:
@@ -216,29 +217,6 @@ class BitStream:
     def query(self, edge_index: int | None = None) -> int:
         # sequential source: the edge identity is irrelevant, order is all
         return self.next_bit()
-
-    def _consumed_bits(self) -> np.ndarray:
-        if not self._chunks:
-            return np.empty(0, dtype=np.uint8)
-        bits = np.concatenate(self._chunks)
-        return bits[: self.consumed]
-
-    def ones_count(self) -> int:
-        return int(self._consumed_bits().sum())
-
-    def max_ones_in_window(self, length: int) -> int:
-        """Max number of ones over all length-``length`` windows consumed so far."""
-        if length < 1:
-            raise ValueError(f"window length must be positive, got {length}")
-        bits = self._consumed_bits()
-        if bits.size == 0:
-            return 0
-        if length >= bits.size:
-            return int(bits.sum())
-        cs = np.cumsum(bits, dtype=np.int64)
-        windows = cs[length - 1 :].copy()
-        windows[1:] -= cs[: -length]
-        return int(windows.max())
 
 
 class EdgeKeyedBitSource:
@@ -280,11 +258,21 @@ def write_sample(sample: EdgeSample, path) -> None:
 
 
 def read_sample(path) -> EdgeSample:
-    """Inverse of write_sample."""
+    """Inverse of write_sample; rejects a dump whose header is out of range or
+    whose length is not exactly header + ceil(m/8) bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _DUMP_HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {_DUMP_HEADER.size}-byte header")
     d, seed, trial, round_, p = _DUMP_HEADER.unpack_from(raw, 0)
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ValueError(f"{path}: dimension {d} out of range [1, {MAX_DIMENSION}]")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{path}: edge probability {p} out of range [0, 1]")
     m = d << (d - 1)
+    expected = _DUMP_HEADER.size + (m + 7) // 8
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} for a d={d} dump")
     packed = np.frombuffer(raw, dtype=np.uint8, offset=_DUMP_HEADER.size)
     mask = np.unpackbits(packed, count=m, bitorder="little").astype(bool)
     return EdgeSample(d=d, p=p, open_mask=mask, key=SampleKey(seed, trial, round_))

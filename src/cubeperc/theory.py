@@ -15,23 +15,6 @@ _GW_DELTA_TOL = 1e-14
 _GW_MAX_ITER = 2_000_000
 
 
-@dataclass(frozen=True)
-class TheoryValues:
-    """Bundle of the quantities a report or CLI call is judged against."""
-
-    c: float | None = None
-    y: float | None = None
-    second_bound: float | None = None
-    subcritical_k: float | None = None
-
-
-def theory_values(c: float | None = None, d: int | None = None, eps: float | None = None) -> TheoryValues:
-    y = solve_y(c) if c is not None else None
-    second = second_component_bound(c, d) if (c is not None and d is not None) else None
-    sub_k = subcritical_bound(d, eps) if (d is not None and eps is not None) else None
-    return TheoryValues(c=c, y=y, second_bound=second, subcritical_k=sub_k)
-
-
 def solve_y(c: float) -> float:
     """Root of y = 1 - exp(-c*y) in (0, 1), by bisection to 1e-12 residual.
 
@@ -58,13 +41,6 @@ def solve_y(c: float) -> float:
     if residual > _Y_RESIDUAL_TOL:
         raise ArithmeticError(f"bisection residual {residual} above tolerance at c={c}")
     return y
-
-
-def y_near_critical(c: float) -> float:
-    """First-order approximation 2*(c-1), valid as c -> 1 from above."""
-    if c <= 1.0:
-        raise ValueError(f"approximation defined for c > 1, got {c}")
-    return 2.0 * (c - 1.0)
 
 
 def second_component_bound(c: float, d: int) -> float:

@@ -25,7 +25,7 @@ def _ok(number, message):
 @pytest.fixture(scope="module")
 def super_report():
     cfg = cp.ExperimentConfig(kind="supercritical", d=18, c=2.0, trials=20, seed=0)
-    return cp.run_supercritical(cfg, workers=2)
+    return cp.run_experiment(cfg, workers=2)
 
 
 def test_criterion_01_fixed_point_law():
@@ -53,7 +53,7 @@ def test_criterion_02_gw_duality():
     exact_small = cp.gw_extinction(3, 2.0 / 3.0).survival  # ~0.9509
     assert abs(exact_small - 0.9509618943233451) <= 1e-12
     cfg = cp.ExperimentConfig(kind="gw", d=3, c=2.0, trials=100_000, seed=0)
-    report = cp.run_gw(cfg, workers=2)
+    report = cp.run_experiment(cfg, workers=2)
     rate = report.aggregates["survival_rate"]
     se = math.sqrt(exact_small * (1.0 - exact_small) / 100_000)
     assert abs(rate - exact_small) <= 3 * se
@@ -126,7 +126,7 @@ def test_criterion_06_supercritical_law(super_report):
 
 def test_criterion_07_subcritical_law():
     cfg = cp.ExperimentConfig(kind="subcritical", d=18, eps=0.3, trials=50, seed=0)
-    report = cp.run_subcritical(cfg, workers=2)
+    report = cp.run_experiment(cfg, workers=2)
     assert report.theory["p"] == pytest.approx(0.7 / 17, abs=1e-12)
     within = sum(1 for r in report.rows if r["l1"] <= 1248)
     assert within >= 49
@@ -147,7 +147,7 @@ def test_criterion_08_chernoff_domination():
 
 def test_criterion_09_sprinkling():
     cfg = cp.ExperimentConfig(kind="sprinkling", d=16, c=2.0, trials=20, seed=0)
-    report = cp.run_sprinkling(cfg, workers=2)
+    report = cp.run_experiment(cfg, workers=2)
     p = 2.0 / 16.0
     m = 16 * 2**15
     rate = report.aggregates["union_open_rate_pooled"]
@@ -173,7 +173,7 @@ def test_criterion_11_determinism(super_report, tmp_path):
     second = tmp_path / "run2.json"
     cp.write_report(super_report, first, "json")
     cfg = cp.ExperimentConfig(kind="supercritical", d=18, c=2.0, trials=20, seed=0)
-    rerun = cp.run_supercritical(cfg, workers=1)  # different worker count on purpose
+    rerun = cp.run_experiment(cfg, workers=1)  # different worker count on purpose
     cp.write_report(rerun, second, "json")
     assert first.read_bytes() == second.read_bytes()
     _ok(11, "repeating criterion 6's run yields byte-identical JSON reports")

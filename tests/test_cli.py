@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -123,6 +124,43 @@ def test_experiment_progress_counter(capsys):
     )
     assert code == 0
     assert "trial 3/3" in err
+
+
+def test_experiment_flags_cover_config_keys(capsys, tmp_path):
+    out_path = tmp_path / "r.csv"
+    code, out, _ = _run(
+        capsys, "experiment", "--kind", "supercritical", "--d", "6", "--c", "2", "--trials", "2",
+        "--seed", "4", "--w-threshold", "9", "--p2-exponent", "4", "--gap-lo", "2", "--gap-hi", "9",
+        "--gw-progeny-cap", "50", "--out", str(out_path), "--format", "csv",
+    )
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "kind": "supercritical", "d": 6, "c": 2.0, "eps": None, "trials": 2, "seed": 4,
+        "w_threshold": 9, "p2_exponent": 4.0, "gap_lo": 2, "gap_hi": 9, "gw_progeny_cap": 50,
+    }
+    assert out_path.read_text().startswith("# kind = supercritical")
+    code, _, err = _run(capsys, "experiment", "--kind", "sprinkling", "--d", "6", "--eps", "0.3")
+    assert code == 1 and "eps" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+def test_experiment_workers_bounded(capsys, workers):
+    # rejected before any trial runs, so no pool is started
+    code, out, err = _run(
+        capsys, "experiment", "--kind", "gw", "--d", "3", "--c", "2", "--trials", "2",
+        "--workers", workers,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--workers" in err
+
+
+def test_experiment_duplicate_config_key(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("kind = gw\nd = 3\nc = 2.0\nc = 3.0\n")
+    code, _, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 1
+    assert f"{cfg}:4:" in err
 
 
 def test_oracle_harper(capsys):

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from cubeperc.components import (
     distance_to_set,
     explore_component,
-    hit_probability,
     label_components,
     size_gap_count,
     w_set,
     write_histogram_csv,
 )
+from cubeperc.experiments import ExperimentConfig, run_experiment
 from cubeperc.hypercube import CubeGraph, edge_endpoint_arrays, export_adjacency
 from cubeperc.sampler import BitStream, EdgeKeyedBitSource, SampleKey, sample_edges
 
@@ -64,8 +64,8 @@ def test_label_hand_traced_q2():
     lab = label_components(g, mask)
     assert lab.l1 == 3
     assert lab.l2 == 1
-    assert lab.component_of(0) == lab.component_of(1) == lab.component_of(3) == 0
-    assert lab.component_of(2) == 2
+    assert lab.labels.tolist() == [0, 0, 2, 0]
+    assert lab.vertex_component_size.tolist() == [3, 3, 1, 3]
 
 
 def test_label_canonical_min_vertex():
@@ -74,7 +74,7 @@ def test_label_canonical_min_vertex():
     for v in range(g.n):
         members = [u for u in range(g.n) if lab.labels[u] == lab.labels[v]]
         assert lab.labels[v] == min(members)
-        assert lab.sizes[lab.component_of(v)] == len(members)
+        assert lab.vertex_component_size[v] == len(members)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -93,8 +93,9 @@ def test_histogram_consistency(d, seed):
     g = CubeGraph(d)
     lab = label_components(g, sample_edges(g, SampleKey(seed), 0.3))
     assert sum(s * c for s, c in lab.histogram.items()) == g.n
-    assert sum(lab.sizes.values()) == g.n
-    assert lab.l1 == max(lab.sizes.values())
+    _, sizes = np.unique(lab.labels, return_counts=True)
+    assert sizes.size == lab.n_components
+    assert lab.l1 == sizes.max()
 
 
 def test_monotonicity_under_edge_addition():
@@ -147,7 +148,7 @@ def test_explore_agrees_with_labeling():
         v = int(rng.integers(0, g.n))
         lab = label_components(g, sample_edges(g, key, p))
         result = explore_component(g, v, EdgeKeyedBitSource(key, p), cap=g.n)
-        assert result.size == lab.size_of(v)
+        assert result.size == lab.vertex_component_size[v]
         assert result.open_found >= result.size - 1
 
 
@@ -160,17 +161,20 @@ def test_explore_cap_one_halts_immediately():
 
 
 def test_hit_probability_extremes():
+    # no exploration reaches 2 vertices at p = 0; every one reaches all n at p = 1
     g = CubeGraph(5)
-    assert hit_probability(g, 0.0, 2, 50, seed=0).estimate == 0.0
-    assert hit_probability(g, 1.0, g.n, 50, seed=0).estimate == 1.0
+    for trial in range(50):
+        key = SampleKey(0, trial, 0)
+        assert not explore_component(g, 0, BitStream(key, 0.0), cap=2).cap_hit
+        assert explore_component(g, 0, BitStream(key, 1.0), cap=g.n).cap_hit
 
 
 def test_hit_probability_matches_survival_fraction():
     # d=18, c=2, s=d^2: hit rate approaches y(2)=0.796812 (finite-size slack)
-    g = CubeGraph(18)
-    result = hit_probability(g, 2 / 18, 324, 2000, seed=0)
-    assert abs(result.estimate - 0.796812) <= 0.05
-    assert result.stderr < 0.02
+    cfg = ExperimentConfig(kind="hitprob", d=18, c=2.0, trials=2000, seed=0, w_threshold=324)
+    aggregates = run_experiment(cfg).aggregates
+    assert abs(aggregates["hit_rate"] - 0.796812) <= 0.05
+    assert aggregates["hit_se"] < 0.02
 
 
 def test_w_set_extremes():

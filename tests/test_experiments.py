@@ -4,17 +4,15 @@ import math
 
 import pytest
 
+import cubeperc.experiments as experiments
 from cubeperc.errors import ConfigError
 from cubeperc.experiments import (
+    CONFIG_KEYS,
+    KINDS,
     ExperimentConfig,
     parse_config_file,
     read_report_csv,
     run_experiment,
-    run_gw,
-    run_hitprob,
-    run_sprinkling,
-    run_subcritical,
-    run_supercritical,
     write_report,
 )
 from cubeperc.theory import gw_extinction, solve_y
@@ -73,6 +71,57 @@ def test_parse_config_file(tmp_path):
     assert cfg.d == 8 and cfg.c == 2.0 and cfg.trials == 3
 
 
+def test_config_keys_are_the_dataclass_fields():
+    assert CONFIG_KEYS == (
+        "kind", "d", "c", "eps", "trials", "seed", "w_threshold", "p2_exponent",
+        "gap_lo", "gap_hi", "gw_progeny_cap", "out", "format",
+    )
+    cfg = ExperimentConfig(kind="gw", d=3, c=2.0, out="x.json", format="csv")
+    assert list(cfg.echo()) == list(CONFIG_KEYS[:-2])  # out and format stay out of reports
+
+
+def test_from_mapping_coerces_by_field_type():
+    cfg = ExperimentConfig.from_mapping(
+        {"kind": "sprinkling", "d": "9", "c": "2", "trials": "4", "seed": "11",
+         "w_threshold": "5", "p2_exponent": "3", "out": "r.csv", "format": "csv"}
+    )
+    assert (cfg.d, cfg.trials, cfg.seed, cfg.w_threshold) == (9, 4, 11, 5)
+    assert type(cfg.c) is float and type(cfg.p2_exponent) is float
+    assert (cfg.out, cfg.format) == ("r.csv", "csv")
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_mapping({"kind": "gw", "d": "3.5", "c": "2"})
+    assert "d" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_mapping({"kind": "gw", "d": "3", "c": "two"})
+    assert "c" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_config_rejects_seed_beyond_64_bits(kind):
+    param = {KINDS[kind].param: 0.3 if KINDS[kind].param == "eps" else 2.0}
+    ExperimentConfig(kind=kind, d=8, seed=2**64 - 1, **param)
+    for seed in (2**64, 2**70, -1):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, d=8, seed=seed, **param)
+        assert "seed" in str(err.value)
+
+
+def test_config_rejects_trials_beyond_32_bit_index():
+    ExperimentConfig(kind="gw", d=3, c=2.0, trials=2**32)  # last trial index 2^32 - 1
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(kind="gw", d=3, c=2.0, trials=2**32 + 1)
+    assert "trials" in str(err.value)
+
+
+def test_parse_config_file_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("kind = gw\nd = 3\nc = 2.0\nd = 4\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_file(path)
+    assert f"{path}:4:" in str(err.value)
+    assert "d" in str(err.value)
+
+
 def test_parse_config_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("kind supercritical\n")
@@ -81,8 +130,8 @@ def test_parse_config_file_rejects_garbage(tmp_path):
 
 
 def test_report_shape_and_determinism():
-    a = run_supercritical(_small_super())
-    b = run_supercritical(_small_super())
+    a = run_experiment(_small_super())
+    b = run_experiment(_small_super())
     assert len(a.rows) == 4
     assert a.to_json_bytes() == b.to_json_bytes()
     doc = json.loads(a.to_json_bytes())
@@ -91,21 +140,57 @@ def test_report_shape_and_determinism():
 
 
 def test_rows_depend_only_on_seed_and_trial():
-    short = run_supercritical(_small_super(trials=3, seed=7)).rows
-    longer = run_supercritical(_small_super(trials=5, seed=7)).rows
+    short = run_experiment(_small_super(trials=3, seed=7)).rows
+    longer = run_experiment(_small_super(trials=5, seed=7)).rows
     assert short == longer[:3]
-    other_seed = run_supercritical(_small_super(trials=3, seed=8)).rows
+    other_seed = run_experiment(_small_super(trials=3, seed=8)).rows
     assert short != other_seed
 
 
 def test_workers_do_not_change_output():
-    sequential = run_supercritical(_small_super(trials=6))
-    parallel = run_supercritical(_small_super(trials=6), workers=2)
+    sequential = run_experiment(_small_super(trials=6))
+    parallel = run_experiment(_small_super(trials=6), workers=2)
     assert sequential.to_json_bytes() == parallel.to_json_bytes()
 
 
+def test_workers_must_be_positive():
+    for workers in (0, -3):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(_small_super(trials=2), workers=workers)
+        assert "workers" in str(err.value)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    in-process, so no worker process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_pool_never_exceeds_trials(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    pooled = run_experiment(_small_super(trials=3), workers=64)
+    assert _RecordingPool.sizes == [3]
+    run_experiment(_small_super(trials=1), workers=64)  # one trial: no pool at all
+    assert _RecordingPool.sizes == [3]
+    assert pooled.to_json_bytes() == run_experiment(_small_super(trials=3)).to_json_bytes()
+
+
 def test_aggregates_recomputable_from_rows():
-    report = run_supercritical(_small_super(trials=5))
+    report = run_experiment(_small_super(trials=5))
     l1s = [r["l1"] for r in report.rows]
     assert report.aggregates["l1_mean"] == float(f"{sum(l1s) / len(l1s):.12g}")
     assert report.aggregates["l1_min"] == min(l1s)
@@ -114,13 +199,13 @@ def test_aggregates_recomputable_from_rows():
 
 def test_on_trial_counter():
     seen = []
-    run_supercritical(_small_super(trials=3), on_trial=lambda done, total: seen.append((done, total)))
+    run_experiment(_small_super(trials=3), on_trial=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
 def test_subcritical_runner():
     cfg = ExperimentConfig(kind="subcritical", d=8, eps=0.4, trials=5, seed=0)
-    report = run_subcritical(cfg)
+    report = run_experiment(cfg)
     assert report.theory["p"] == pytest.approx(0.6 / 7)
     assert all(r["l1"] >= 1 for r in report.rows)
     assert report.aggregates["exceed_count"] == sum(r["exceeds_bound"] for r in report.rows)
@@ -133,7 +218,7 @@ def test_supercritical_deviation_shrinks_with_dimension():
     deviations = {}
     for d in (12, 18):
         cfg = ExperimentConfig(kind="supercritical", d=d, c=2.0, trials=20, seed=0)
-        report = run_supercritical(cfg, workers=2)
+        report = run_experiment(cfg, workers=2)
         mean_fraction = sum(r["l1"] for r in report.rows) / (20 * 2**d)
         deviations[d] = abs(mean_fraction - y)
     assert deviations[18] <= deviations[12] + 0.02
@@ -142,7 +227,7 @@ def test_supercritical_deviation_shrinks_with_dimension():
 def test_sprinkling_negligible_second_round_still_merges():
     # with p2 ~ 0 the union is G1 itself; premerged trials must report merge_ok
     cfg = ExperimentConfig(kind="sprinkling", d=10, c=2.0, trials=8, seed=0, p2_exponent=30.0)
-    report = run_sprinkling(cfg)
+    report = run_experiment(cfg)
     for row in report.rows:
         if row["g1_premerged"]:
             assert row["merge_ok"] == 1
@@ -150,7 +235,7 @@ def test_sprinkling_negligible_second_round_still_merges():
 
 def test_sprinkling_runner_coupling():
     cfg = ExperimentConfig(kind="sprinkling", d=10, c=2.0, trials=10, seed=0)
-    report = run_sprinkling(cfg)
+    report = run_experiment(cfg)
     p = 2.0 / 10
     m = 10 * 2**9
     rate = report.aggregates["union_open_rate_pooled"]
@@ -164,7 +249,7 @@ def test_sprinkling_runner_coupling():
 
 def test_gw_runner_against_exact():
     cfg = ExperimentConfig(kind="gw", d=3, c=2.0, trials=4000, seed=0, gw_progeny_cap=5000)
-    report = run_gw(cfg)
+    report = run_experiment(cfg)
     exact = gw_extinction(3, 2 / 3).survival
     rate = report.aggregates["survival_rate"]
     se = math.sqrt(exact * (1 - exact) / 4000)
@@ -173,14 +258,14 @@ def test_gw_runner_against_exact():
 
 def test_gw_runner_p_zero():
     cfg = ExperimentConfig(kind="gw", d=3, c=0.0, trials=50, seed=0)
-    report = run_gw(cfg)
+    report = run_experiment(cfg)
     assert report.aggregates["survived_count"] == 0
     assert report.theory["exact_survival"] == 0.0
 
 
 def test_gw_large_d_matches_y():
     cfg = ExperimentConfig(kind="gw", d=1000, c=2.0, trials=10_000, seed=0)
-    report = run_gw(cfg, workers=2)
+    report = run_experiment(cfg, workers=2)
     y = solve_y(2.0)
     se = math.sqrt(y * (1 - y) / 10_000)
     assert abs(report.aggregates["survival_rate"] - y) <= 3 * se + 1e-3
@@ -188,7 +273,7 @@ def test_gw_large_d_matches_y():
 
 def test_hitprob_runner():
     cfg = ExperimentConfig(kind="hitprob", d=10, c=2.0, trials=400, seed=0)
-    report = run_hitprob(cfg)
+    report = run_experiment(cfg)
     assert report.theory["threshold"] == 100
     rate = report.aggregates["hit_rate"]
     assert 0.5 < rate < 1.0  # supercritical: a solid fraction reach the cap
@@ -200,7 +285,7 @@ def test_run_experiment_dispatch():
 
 
 def test_csv_round_trip(tmp_path):
-    report = run_supercritical(_small_super(trials=5, seed=3))
+    report = run_experiment(_small_super(trials=5, seed=3))
     path = tmp_path / "report.csv"
     write_report(report, path, "csv")
     meta, rows = read_report_csv(path)
@@ -212,20 +297,20 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_json_report_write(tmp_path):
-    report = run_supercritical(_small_super(trials=3))
+    report = run_experiment(_small_super(trials=3))
     path = tmp_path / "report.json"
     write_report(report, path, "json")
     assert path.read_bytes() == report.to_json_bytes()
 
 
 def test_write_report_bad_format(tmp_path):
-    report = run_supercritical(_small_super(trials=2))
+    report = run_experiment(_small_super(trials=2))
     with pytest.raises(ValueError):
         write_report(report, tmp_path / "x", "yaml")
 
 
 def test_write_report_path_context():
-    report = run_supercritical(_small_super(trials=2))
+    report = run_experiment(_small_super(trials=2))
     with pytest.raises(OSError) as err:
         write_report(report, "/nonexistent-dir/report.json", "json")
     assert "/nonexistent-dir/report.json" in str(err.value)

@@ -11,9 +11,7 @@ from cubeperc.theory import (
     second_component_bound,
     solve_y,
     subcritical_bound,
-    theory_values,
     tree_count_bound,
-    y_near_critical,
 )
 
 
@@ -63,8 +61,9 @@ def test_solve_y_monotone():
 
 
 def test_near_critical_approximation():
+    # y(c) ~ 2(c - 1) as c -> 1 from above
     c = 1.001
-    assert abs(solve_y(c) / y_near_critical(c) - 1.0) <= 0.01
+    assert abs(solve_y(c) / (2.0 * (c - 1.0)) - 1.0) <= 0.01
 
 
 def test_second_component_bound_examples():
@@ -174,9 +173,3 @@ def test_tree_count_log_form_for_huge_k():
     assert math.isfinite(b.log_loose)
     assert math.isfinite(b.log_sharp)
 
-
-def test_theory_values_bundle():
-    t = theory_values(c=2.0, d=18, eps=0.3)
-    assert abs(t.y - solve_y(2.0)) == 0.0
-    assert abs(t.second_bound - second_component_bound(2.0, 18)) == 0.0
-    assert abs(t.subcritical_k - subcritical_bound(18, 0.3)) == 0.0
