@@ -21,15 +21,14 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+", default=[5, 10, 30, 100, 300, 1000])
     args = parser.parse_args()
 
-    y = cp.solve_y(args.c)
-    print(f"y({args.c}) = {y:.7f}")
+    rows = cp.gw_survival_limit_check(args.c, args.dims)
+    print(f"y({args.c}) = {rows[0].y:.7f}")
     print(f"{'d':>6}  {'exact survival':>15}  {'|exact - y|':>12}  {'simulated':>10}")
-    for d in args.dims:
-        exact = cp.gw_extinction(d, args.c / d).survival
-        cfg = cp.ExperimentConfig(kind="gw", d=d, c=args.c, trials=args.trials, seed=args.seed)
+    for row in rows:
+        cfg = cp.ExperimentConfig(kind="gw", d=row.d, c=args.c, trials=args.trials, seed=args.seed)
         report = cp.run_experiment(cfg, workers=2)
         simulated = report.aggregates["survival_rate"]
-        print(f"{d:>6}  {exact:>15.7f}  {abs(exact - y):>12.2e}  {simulated:>10.5f}")
+        print(f"{row.d:>6}  {row.survival:>15.7f}  {row.deviation:>12.2e}  {simulated:>10.5f}")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .sampler import (
     sample_edges,
     split_probability,
     uniform01,
-    uniform01_array,
     union_samples,
     write_sample,
 )

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import theory
 from .components import distance_to_set, explore_component, label_components, size_gap_count, w_set
-from .errors import ConfigError
-from .hypercube import CubeGraph
+from .errors import CapacityError, ConfigError
+from .hypercube import MAX_DIMENSION, CubeGraph
 from .sampler import BitStream, SampleKey, sample_edges, split_probability, union_samples
 
 REPORT_FORMATS = ("csv", "json")
@@ -280,7 +280,7 @@ def _hitprob_aggregate(cfg: ExperimentConfig, rows) -> dict:
 class Kind(NamedTuple):
     """One experiment kind: the config field that sets its edge probability
     and that field's domain, the per-trial worker, the theory block and the
-    aggregate."""
+    aggregate; whether its trials build Q^d (``cube``) and read ``w_threshold``."""
 
     param: str
     domain: str
@@ -288,20 +288,19 @@ class Kind(NamedTuple):
     trial: Callable[[tuple], dict]
     theory: Callable[[ExperimentConfig], tuple[dict, tuple]]
     aggregate: Callable[[ExperimentConfig, list], dict]
+    cube: bool
+    w_threshold: bool
 
+
+_EXCEED_1 = ("c", "exceed 1", lambda c: c > 1.0)
 
 KINDS = {
-    "supercritical": Kind(
-        "c", "exceed 1", lambda c: c > 1.0, _supercritical_trial, _supercritical_theory, _supercritical_aggregate
-    ),
-    "subcritical": Kind(
-        "eps", "lie in (0, 1)", lambda e: 0.0 < e < 1.0, _subcritical_trial, _subcritical_theory, _subcritical_aggregate
-    ),
-    "sprinkling": Kind(
-        "c", "exceed 1", lambda c: c > 1.0, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate
-    ),
-    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate),
-    "hitprob": Kind("c", "exceed 1", lambda c: c > 1.0, _hitprob_trial, _hitprob_theory, _hitprob_aggregate),
+    "supercritical": Kind(*_EXCEED_1, _supercritical_trial, _supercritical_theory, _supercritical_aggregate, True, True),
+    "subcritical": Kind("eps", "lie in (0, 1)", lambda e: 0.0 < e < 1.0,
+                        _subcritical_trial, _subcritical_theory, _subcritical_aggregate, True, False),
+    "sprinkling": Kind(*_EXCEED_1, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate, True, True),
+    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate, False, False),
+    "hitprob": Kind(*_EXCEED_1, _hitprob_trial, _hitprob_theory, _hitprob_aggregate, True, True),
 }
 
 
@@ -349,6 +348,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        """ConfigError listing every problem, or CapacityError for d > MAX_DIMENSION on a cube kind."""
         problems = []
         for f in fields(self):
             value = getattr(self, f.name)
@@ -370,6 +370,14 @@ class ExperimentConfig:
             for other in sorted({k.param for k in KINDS.values()} - {spec.param}):
                 if getattr(self, other) is not None:
                     problems.append(f"{other} must be unset for kind={self.kind}")
+            if isinstance(self.d, int) and 2 <= self.d <= MAX_DIMENSION:  # a larger d is refused below
+                w = self.resolved_w_threshold()  # the default d^2 exceeds 2^d at d = 3
+                if spec.w_threshold and w > self.n:
+                    problems.append(f"w_threshold {w} exceeds 2^d = {self.n} for kind={self.kind}")
+                if self.kind == "sprinkling" and value is not None and self.p2_exponent > 0:
+                    p2 = self.d ** -self.p2_exponent  # as the theory block computes it
+                    if p2 > value / self.d:
+                        problems.append(f"p2_exponent = {self.p2_exponent} makes d^-p2_exponent = {p2:.6g} exceed c/d")
         if self.w_threshold is not None and self.w_threshold < 1:
             problems.append(f"w_threshold must be >= 1, got {self.w_threshold}")
         if self.p2_exponent <= 0:
@@ -380,6 +388,8 @@ class ExperimentConfig:
             problems.append(f"gap window is empty: [{self.gap_lo}, {self.gap_hi}]")
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
+        if spec.cube and self.d > MAX_DIMENSION:
+            raise CapacityError(f"dimension {self.d} exceeds the supported maximum {MAX_DIMENSION}")
 
     @property
     def n(self) -> int:

@@ -20,12 +20,14 @@ bit-identical on every platform.  The construction is frozen:
     uniform01(key, counter) = (bits >> 11) / 2^53
 
 The top 53 bits are used so the result is exactly representable and lies in
-[0, 1); an edge e is open iff uniform01(key, e) < p.  For a fixed key the
-output is splitmix64 seeded at ``state``, i.e. a bijection of the counter.
+[0, 1); an edge e is open iff uniform01(key, e) < p, which ``_open_bits``
+decides exactly in integers.  For a fixed key the output is splitmix64
+seeded at ``state``, i.e. a bijection of the counter.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +41,7 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TO_UNIT = 2.0**-53
+_BLOCK = 8192  # BitStream draws its bits this many counters at a time
 
 
 def _mix64(x: int) -> int:
@@ -48,16 +51,6 @@ def _mix64(x: int) -> int:
     x ^= x >> 27
     x = (x * _MIX_B) & _M64
     x ^= x >> 31
-    return x
-
-
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    # same finalizer over uint64 arrays; numpy multiplication wraps mod 2^64
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(_MIX_A)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_MIX_B)
-    x = x ^ (x >> np.uint64(31))
     return x
 
 
@@ -95,12 +88,31 @@ def uniform01(key: SampleKey, counter: int) -> float:
     return (bits >> 11) * _TO_UNIT
 
 
-def uniform01_array(key: SampleKey, counters: np.ndarray) -> np.ndarray:
-    """Vectorized uniform01 over an array of counters (bit-identical to scalar)."""
-    state = np.uint64(_stream_state(key))
-    x = state + counters.astype(np.uint64) * np.uint64(_GAMMA)
-    bits = _mix64_np(x)
-    return (bits >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+def _threshold(p: float) -> int:
+    """Validate 0 <= p <= 1 (NaN fails); return ceil(p * 2^53) for ``_open_bits``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    return math.ceil(p * 2**53)
+
+
+def _open_bits(state: int, start: int, count: int, threshold: int) -> np.ndarray:
+    """Open bits for counters [start, start + count) of the stream at
+    ``state``: bit i is uniform01(key, i) < p, given threshold = _threshold(p).
+
+    Exact: for the integer k = bits >> 11, k * 2^-53 < p iff k < p * 2^53 iff
+    k < ceil(p * 2^53), and p * 2^53 is exact as it scales by a power of two.
+    splitmix64 runs in place on one uint64 block, wrapping mod 2^64.
+    """
+    x = np.arange(start, start + count, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(state)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_A)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_B)
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    return x < np.uint64(threshold)
 
 
 @dataclass(frozen=True)
@@ -124,23 +136,11 @@ class EdgeSample:
     def open_count(self) -> int:
         return int(self.open_mask.sum())
 
-    def is_open(self, edge_index: int) -> bool:
-        return bool(self.open_mask[edge_index])
-
-    def open_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.open_mask)
-
 
 def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
-    """Draw Q^d_p: edge e is open iff uniform01(key, e) < p.
-
-    Implemented as one vectorized per-edge test over all m counters; this is
-    the contract itself, not an approximation of it.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    counters = np.arange(g.m, dtype=np.uint64)
-    mask = uniform01_array(key, counters) < p
+    """Draw Q^d_p: edge e is open iff uniform01(key, e) < p, decided for all
+    m counters at once by ``_open_bits``."""
+    mask = _open_bits(_stream_state(key), 0, g.m, _threshold(p))
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
 
 
@@ -181,38 +181,31 @@ def union_samples(a: EdgeSample, b: EdgeSample) -> EdgeSample:
 class BitStream:
     """Sequential Bernoulli(p) bit source: bit i is uniform01(key, i) < p.
 
-    Bits are drawn a block at a time; only the current block is held, and
-    ``consumed`` counts the bits used so far.
+    Bits are drawn ``_BLOCK`` at a time; only the current block is held, as
+    ``bytes`` so that indexing it yields a plain int, and ``consumed`` counts
+    the bits used so far.
     """
 
-    def __init__(self, key: SampleKey, p: float, block: int = 8192):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bit probability must lie in [0, 1], got {p}")
-        self.key = key
-        self.p = float(p)
-        self._block = int(block)
-        self._state = np.uint64(_stream_state(key))
+    def __init__(self, key: SampleKey, p: float):
+        self._threshold = _threshold(p)
+        self._state = _stream_state(key)
         self._blocks = 0
-        self._buf: np.ndarray | None = None
-        self._pos = 0
+        self._buf = b""
+        self._pos = _BLOCK
         self.consumed = 0
 
     def _refill(self) -> None:
-        start = self._blocks * self._block
-        counters = np.arange(start, start + self._block, dtype=np.uint64)
-        x = self._state + counters * np.uint64(_GAMMA)
-        u = (_mix64_np(x) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-        self._buf = (u < self.p).astype(np.uint8)
+        self._buf = _open_bits(self._state, self._blocks * _BLOCK, _BLOCK, self._threshold).tobytes()
         self._blocks += 1
         self._pos = 0
 
     def next_bit(self) -> int:
-        if self._buf is None or self._pos >= self._block:
+        if self._pos >= _BLOCK:
             self._refill()
         bit = self._buf[self._pos]
         self._pos += 1
         self.consumed += 1
-        return int(bit)
+        return bit
 
     def query(self, edge_index: int | None = None) -> int:
         # sequential source: the edge identity is irrelevant, order is all
@@ -227,17 +220,14 @@ class EdgeKeyedBitSource:
     """
 
     def __init__(self, key: SampleKey, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bit probability must lie in [0, 1], got {p}")
-        self.key = key
-        self.p = float(p)
+        self._threshold = _threshold(p)
         self._state = _stream_state(key)
         self.consumed = 0
 
     def query(self, edge_index: int) -> int:
         self.consumed += 1
         bits = _mix64((self._state + edge_index * _GAMMA) & _M64)
-        return int((bits >> 11) * _TO_UNIT < self.p)
+        return int((bits >> 11) < self._threshold)
 
 
 _DUMP_HEADER = struct.Struct("<IQIId")  # d, seed, trial, round, p

@@ -155,6 +155,32 @@ def test_experiment_workers_bounded(capsys, workers):
     assert "--workers" in err
 
 
+def test_experiment_unreachable_w_threshold(capsys):
+    code, out, err = _run(
+        capsys, "experiment", "--kind", "hitprob", "--d", "4", "--c", "2", "--trials", "3",
+        "--w-threshold", "1000",
+    )
+    assert code == 1
+    assert out == ""
+    assert "w_threshold" in err
+
+
+def test_experiment_capacity_exit(capsys):
+    code, out, err = _run(capsys, "experiment", "--kind", "supercritical", "--d", "31", "--c", "2")
+    assert code == 2
+    assert out == ""
+    assert "capacity" in err
+
+
+def test_experiment_sprinkling_second_round_named(capsys):
+    # d^-p2_exponent = 8^-0.5 = 0.354 exceeds p = c/d = 0.25
+    code, _, err = _run(
+        capsys, "experiment", "--kind", "sprinkling", "--d", "8", "--c", "2", "--p2-exponent", "0.5",
+    )
+    assert code == 1
+    assert "p2_exponent" in err
+
+
 def test_experiment_duplicate_config_key(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("kind = gw\nd = 3\nc = 2.0\nc = 3.0\n")

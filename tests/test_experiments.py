@@ -5,7 +5,7 @@ import math
 import pytest
 
 import cubeperc.experiments as experiments
-from cubeperc.errors import ConfigError
+from cubeperc.errors import CapacityError, ConfigError
 from cubeperc.experiments import (
     CONFIG_KEYS,
     KINDS,
@@ -15,6 +15,7 @@ from cubeperc.experiments import (
     run_experiment,
     write_report,
 )
+from cubeperc.hypercube import MAX_DIMENSION
 from cubeperc.theory import gw_extinction, solve_y
 
 
@@ -96,9 +97,13 @@ def test_from_mapping_coerces_by_field_type():
     assert "c" in str(err.value)
 
 
+def _param(kind):
+    return {KINDS[kind].param: 0.3 if KINDS[kind].param == "eps" else 2.0}
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_config_rejects_seed_beyond_64_bits(kind):
-    param = {KINDS[kind].param: 0.3 if KINDS[kind].param == "eps" else 2.0}
+    param = _param(kind)
     ExperimentConfig(kind=kind, d=8, seed=2**64 - 1, **param)
     for seed in (2**64, 2**70, -1):
         with pytest.raises(ConfigError) as err:
@@ -111,6 +116,27 @@ def test_config_rejects_trials_beyond_32_bit_index():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(kind="gw", d=3, c=2.0, trials=2**32 + 1)
     assert "trials" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in KINDS if KINDS[k].w_threshold))
+def test_config_rejects_unreachable_w_threshold(kind):
+    # neither the W-set nor the exploration cap can exceed n = 2^d
+    ExperimentConfig(kind=kind, d=4, w_threshold=16, **_param(kind))
+    ExperimentConfig(kind=kind, d=4, **_param(kind))  # default d^2 = 16
+    for extra in ({"d": 4, "w_threshold": 17}, {"d": 3}):  # at d = 3 the default d^2 = 9 exceeds 8
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, **extra, **_param(kind))
+        assert "w_threshold" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_config_bounds_d_for_cube_kinds(kind):
+    # raised at construction: before the theory block and before any pool
+    if KINDS[kind].cube:
+        with pytest.raises(CapacityError):
+            ExperimentConfig(kind=kind, d=MAX_DIMENSION + 1, **_param(kind))
+    else:
+        ExperimentConfig(kind=kind, d=1000, **_param(kind))
 
 
 def test_parse_config_file_rejects_duplicate_key(tmp_path):

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubeperc.hypercube import CubeGraph
 from cubeperc.sampler import (
@@ -14,7 +14,6 @@ from cubeperc.sampler import (
     sample_edges,
     split_probability,
     uniform01,
-    uniform01_array,
     union_samples,
     write_sample,
 )
@@ -30,25 +29,79 @@ def test_uniform_determinism():
 
 
 def test_uniform_vector_matches_scalar():
+    # the vectorized draw agrees with the scalar oracle, ties included
     key = SampleKey(2**63 + 11, 9, 2)
-    counters = np.arange(1000, dtype=np.uint64)
-    vec = uniform01_array(key, counters)
+    g = CubeGraph(10)  # m = 5120 counters
     for i in (0, 1, 17, 999):
-        assert vec[i] == uniform01(key, i)
+        u = uniform01(key, i)
+        for p in (0.5, u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)):
+            assert sample_edges(g, key, p).open_mask[i] == (u < p)
 
 
 def test_uniform_mean():
+    # open rate of 10^6+ edges (d = 17) is the uniform CDF at p
+    g = CubeGraph(17)
     key = SampleKey(7, 0, 0)
-    u = uniform01_array(key, np.arange(10**6, dtype=np.uint64))
-    assert abs(float(u.mean()) - 0.5) <= 0.002
+    for p in (0.25, 0.5, 0.75):
+        assert abs(float(sample_edges(g, key, p).open_mask.mean()) - p) <= 0.002
 
 
 def test_round_tags_decorrelate():
-    counters = np.arange(10**6, dtype=np.uint64)
-    u1 = uniform01_array(SampleKey(7, 0, 1), counters)
-    u2 = uniform01_array(SampleKey(7, 0, 2), counters)
-    r = float(np.corrcoef(u1, u2)[0, 1])
+    g = CubeGraph(17)
+    m1 = sample_edges(g, SampleKey(7, 0, 1), 0.5).open_mask
+    m2 = sample_edges(g, SampleKey(7, 0, 2), 0.5).open_mask
+    r = float(np.corrcoef(m1, m2)[0, 1])
     assert abs(r) < 0.01
+
+
+def _stream_bits(key, p, count):
+    stream = BitStream(key, p)
+    return [stream.next_bit() for _ in range(count)]
+
+
+def _assert_kernel_matches_oracle(g, key, p):
+    mask = sample_edges(g, key, p).open_mask
+    expected = [uniform01(key, e) < p for e in range(g.m)]
+    assert mask.tolist() == expected
+    assert _stream_bits(key, p, g.m) == [int(b) for b in expected]
+    source = EdgeKeyedBitSource(key, p)
+    assert [source.query(e) for e in range(g.m)] == [int(b) for b in expected]
+
+
+_KEYS = st.builds(
+    SampleKey,
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def _probabilities(draw):
+    # the endpoints, dyadic k/2^53 (where the float and integer tests could
+    # first disagree) and their float neighbours
+    k = draw(st.integers(0, 2**53))
+    p = k / 2**53
+    return draw(st.sampled_from([0.0, 1.0, p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)]))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), _KEYS, _probabilities())
+def test_kernel_matches_uniform_oracle(d, key, p):
+    _assert_kernel_matches_oracle(CubeGraph(d), key, p)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), _KEYS, st.data())
+def test_kernel_matches_oracle_at_ties(d, key, data):
+    # p equal to a drawn uniform01 value (closed) and its two float
+    # neighbours: the exact ties of the strict comparison
+    g = CubeGraph(d)
+    e = data.draw(st.integers(0, g.m - 1))
+    u = uniform01(key, e)
+    for p, is_open in ((u, False), (math.nextafter(u, 0.0), False), (math.nextafter(u, 1.0), True)):
+        assert sample_edges(g, key, p).open_mask[e] == is_open
+        _assert_kernel_matches_oracle(g, key, p)
 
 
 def test_key_validation():
@@ -69,8 +122,15 @@ def test_sample_edges_extremes():
 
 def test_sample_edges_rejects_bad_p():
     g = CubeGraph(3)
-    with pytest.raises(ValueError):
-        sample_edges(g, SampleKey(0), 1.5)
+    makers = (
+        lambda p: sample_edges(g, SampleKey(0), p),
+        lambda p: BitStream(SampleKey(0), p),
+        lambda p: EdgeKeyedBitSource(SampleKey(0), p),
+    )
+    for make in makers:
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                make(p)
 
 
 def test_sample_edges_binomial_band():
@@ -177,9 +237,9 @@ def test_bit_stream_ones_count_band():
 
 def test_bit_stream_matches_uniform_contract():
     key = SampleKey(31, 2, 0)
-    stream = BitStream(key, 0.3)
-    bits = [stream.next_bit() for _ in range(500)]
-    expected = [int(uniform01(key, i) < 0.3) for i in range(500)]
+    # 20000 bits span three of the stream's 8192-bit blocks
+    bits = _stream_bits(key, 0.3, 20_000)
+    expected = [int(uniform01(key, i) < 0.3) for i in range(20_000)]
     assert bits == expected
 
 

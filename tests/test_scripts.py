@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPTS = [
     ("supercritical_sweep.py", "--d 6 --trials 2 --steps 2 --workers 1 --out sweep.csv"),
-    ("gw_convergence.py", "--trials 20 --dims 5 10"),
+    ("gw_convergence.py", "--trials 20 --dims 5 10 40"),  # d = 40 > MAX_DIMENSION: gw is unbounded
     ("sprinkling_study.py", "--d 6 --trials 2 --exponents 3"),
 ]
 
