@@ -1,8 +1,8 @@
 """Component extraction and the statistics the percolation study measures.
 
-Full labeling goes through union-find (union by size + path-halving
-compression) over the open edges; local structure is probed by a capped BFS
-exploration that consumes one random bit per queried edge.
+Full labeling hooks minimum labels along the open edges, with numpy pointer
+jumping, and so names every component by its smallest vertex; local structure
+is probed by a capped BFS exploration that consumes one random bit per edge.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import CubeGraph, edge_endpoint_arrays
+from .hypercube import CubeGraph, _insertbit
 from .sampler import EdgeSample
 
 
@@ -39,65 +39,62 @@ class ComponentLabeling:
         return 1 << self.d
 
 
-def _union_edges(n: int, us, vs) -> list[int]:
-    # tight loop: union by size with path halving on a flat parent list
-    parent = list(range(n))
-    size = [1] * n
-    for a, b in zip(us, vs):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-    return parent
-
-
-def _resolve_roots(parent: list[int]) -> np.ndarray:
-    # union by size keeps trees at logarithmic depth, so a few rounds of
-    # pointer jumping reach the fixed point
-    arr = np.asarray(parent, dtype=np.int64)
-    while True:
-        nxt = arr[arr]
-        if np.array_equal(nxt, arr):
-            return arr
-        arr = nxt
+def _open_endpoints(g: CubeGraph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # direction i owns edge indices [i * 2^(d-1), (i+1) * 2^(d-1)); within it
+    # the offset is dropbit(base, i), so insertbit recovers the base endpoint
+    half = 1 << (g.d - 1)
+    us, vs = [], []
+    for i in range(g.d):
+        base = _insertbit(mask[i * half:(i + 1) * half].nonzero()[0].astype(np.int32), i)
+        us.append(base)
+        vs.append(base | (1 << i))
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     """Label every vertex of Q^d with its component under the open edges.
 
     ``open_edges`` is an EdgeSample or a boolean mask over edge indices.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): start
+    from f = identity; while some open edge (u, v) has f[u] != f[v], hook the
+    larger of the two labels onto the smaller (np.minimum.at), then jump
+    f -> f[f] to its fixed point.  Each round hooks at least one root onto a
+    smaller vertex, so the loop ends.
+
+    Canonical labels follow without a sort.  f[x] is always a vertex of x's
+    component and f[x] <= x, so a component's minimum never moves off itself.
+    When the loop ends every open edge joins equal labels, so each component
+    has exactly one root, and that root is its minimum.
     """
     mask = open_edges.open_mask if isinstance(open_edges, EdgeSample) else np.asarray(open_edges, dtype=bool)
     if mask.shape != (g.m,):
         raise ValueError(f"open mask must have shape ({g.m},), got {mask.shape}")
-    us, vs = edge_endpoint_arrays(g)
-    parent = _union_edges(g.n, us[mask].tolist(), vs[mask].tolist())
-    roots = _resolve_roots(parent)
-    _, first_idx, inverse, counts = np.unique(
-        roots, return_index=True, return_inverse=True, return_counts=True
-    )
-    # first occurrence index of a root IS the smallest vertex in its component
-    labels = first_idx.astype(np.int64)[inverse]
-    hist_sizes, hist_counts = np.unique(counts, return_counts=True)
-    histogram = {int(s): int(c) for s, c in zip(hist_sizes, hist_counts)}
+    u, v = _open_endpoints(g, mask)
+    f = np.arange(g.n, dtype=np.int32)
+    lu, lv = u, v  # f[u], f[v] while f is the identity
+    while lu.size:
+        np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
+        nxt = f[f]
+        while (nxt != f).any():
+            f, nxt = nxt, nxt[nxt]
+        lu, lv = f[u], f[v]
+        differ = lu != lv
+        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
+    sizes = np.bincount(f, minlength=g.n)
+    counts = sizes[sizes > 0]  # component sizes, by ascending label
+    hist = np.bincount(counts)
+    histogram = {int(s): int(hist[s]) for s in hist.nonzero()[0]}
     l1 = int(counts.max())
     l2 = int(np.partition(counts, -2)[-2]) if counts.size >= 2 else 0
     return ComponentLabeling(
         d=g.d,
-        labels=labels,
+        labels=f.astype(np.int64),
         l1=l1,
         l2=l2,
         histogram=histogram,
         n_components=int(counts.size),
-        vertex_component_size=counts[inverse],
+        vertex_component_size=sizes[f],
     )
 
 

@@ -367,6 +367,8 @@ class ExperimentConfig:
                 problems.append(f"{spec.param} is required for kind={self.kind}")
             elif not spec.in_domain(value):
                 problems.append(f"{spec.param} must {spec.domain} for kind={self.kind}, got {value}")
+            elif spec.param == "c" and isinstance(self.d, int) and self.d >= 2 and value / self.d > 1.0:
+                problems.append(f"c = {value} makes p = c/d = {value / self.d:.6g} exceed 1 for kind={self.kind}")
             for other in sorted({k.param for k in KINDS.values()} - {spec.param}):
                 if getattr(self, other) is not None:
                     problems.append(f"{other} must be unset for kind={self.kind}")

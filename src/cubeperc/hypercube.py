@@ -17,7 +17,6 @@ change every sampled subgraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,25 +119,19 @@ def export_adjacency(g: CubeGraph) -> list[list[int]]:
     return [neighbors(g, v) for v in range(g.n)]
 
 
-@lru_cache(maxsize=4)
-def _edge_endpoint_arrays_cached(d: int):
-    half = 1 << (d - 1)
-    idx = np.arange(d << (d - 1), dtype=np.int64)
-    direction = idx >> (d - 1)
-    rest = idx & (half - 1)
-    base = ((rest >> direction) << (direction + 1)) | (rest & ((1 << direction) - 1))
-    other = base | (1 << direction)  # bit ``direction`` of base is 0
-    u = base.astype(np.int64)
-    v = other.astype(np.int64)
+def edge_endpoint_arrays(g: CubeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of every edge as two read-only int64 arrays indexed by edge
+    index: the vectorized form of edge_from_index over [0, m), built one
+    direction at a time and not cached."""
+    half = 1 << (g.d - 1)
+    u = np.empty(g.m, dtype=np.int64)
+    v = np.empty(g.m, dtype=np.int64)
+    rest = np.arange(half, dtype=np.int64)
+    for i in range(g.d):  # u = _insertbit(rest, i), written in place
+        block = slice(i * half, (i + 1) * half)
+        np.left_shift(rest >> i, i + 1, out=u[block])
+        u[block] |= rest & ((1 << i) - 1)
+        np.bitwise_or(u[block], 1 << i, out=v[block])
     u.setflags(write=False)
     v.setflags(write=False)
     return u, v
-
-
-def edge_endpoint_arrays(g: CubeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of every edge as two read-only arrays indexed by edge index.
-
-    Vectorized form of edge_from_index over [0, m); the workhorse behind
-    component labeling at full scale.
-    """
-    return _edge_endpoint_arrays_cached(g.d)

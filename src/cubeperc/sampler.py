@@ -41,7 +41,7 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TO_UNIT = 2.0**-53
-_BLOCK = 8192  # BitStream draws its bits this many counters at a time
+_BLOCK = 8192  # counters per _open_bits call in sample_edges and BitStream
 
 
 def _mix64(x: int) -> int:
@@ -138,9 +138,14 @@ class EdgeSample:
 
 
 def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
-    """Draw Q^d_p: edge e is open iff uniform01(key, e) < p, decided for all
-    m counters at once by ``_open_bits``."""
-    mask = _open_bits(_stream_state(key), 0, g.m, _threshold(p))
+    """Draw Q^d_p: edge e is open iff uniform01(key, e) < p, decided by
+    ``_open_bits`` one ``_BLOCK`` of counters at a time, so the uint64
+    working block stays in cache."""
+    threshold, state = _threshold(p), _stream_state(key)
+    mask = np.empty(g.m, dtype=bool)
+    for start in range(0, g.m, _BLOCK):
+        block = mask[start:start + _BLOCK]
+        block[:] = _open_bits(state, start, block.size, threshold)
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
 
 

@@ -181,6 +181,15 @@ def test_experiment_sprinkling_second_round_named(capsys):
     assert "p2_exponent" in err
 
 
+@pytest.mark.parametrize("kind", ["supercritical", "gw"])
+def test_experiment_rejects_c_beyond_d(capsys, kind):
+    # p = c/d = 1.25: refused by validation, before the theory block or a pool
+    code, out, err = _run(capsys, "experiment", "--kind", kind, "--d", "4", "--c", "5", "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert "c = 5.0" in err and "exceed 1" in err
+
+
 def test_experiment_duplicate_config_key(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("kind = gw\nd = 3\nc = 2.0\nc = 3.0\n")

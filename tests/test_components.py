@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from cubeperc.components import (
     write_histogram_csv,
 )
 from cubeperc.experiments import ExperimentConfig, run_experiment
-from cubeperc.hypercube import CubeGraph, edge_endpoint_arrays, export_adjacency
+from cubeperc.hypercube import CubeGraph, EdgeRef, edge_endpoint_arrays, edge_index, export_adjacency
 from cubeperc.sampler import BitStream, EdgeKeyedBitSource, SampleKey, sample_edges
 
 
@@ -23,19 +25,37 @@ def _mask_from_subset(g, subset):
 
 
 def _closure_components(g, mask):
-    # independent oracle: boolean transitive closure by repeated squaring
+    # independent oracle: boolean transitive closure by repeated squaring; the
+    # float32 product counts paths, at most n <= 2^24, so "> 0" is exact
     n = g.n
     us, vs = edge_endpoint_arrays(g)
     reach = np.eye(n, dtype=bool)
     reach[us[mask], vs[mask]] = True
     reach[vs[mask], us[mask]] = True
     while True:
-        nxt = reach | (reach @ reach)
+        r = reach.astype(np.float32)
+        nxt = reach | (r @ r > 0)
         if np.array_equal(nxt, reach):
             break
         reach = nxt
     labels = np.array([int(np.flatnonzero(row)[0]) for row in reach])
     return labels
+
+
+def _assert_matches_closure(g, mask):
+    # every field of the labeling against the closure oracle
+    lab = label_components(g, mask)
+    oracle = _closure_components(g, mask).tolist()
+    sizes = Counter(oracle)
+    ranked = sorted(sizes.values(), reverse=True) + [0]
+    assert lab.labels.dtype == np.int64
+    assert lab.labels.tolist() == oracle
+    assert lab.vertex_component_size.tolist() == [sizes[x] for x in oracle]
+    assert lab.histogram == dict(Counter(sizes.values()))
+    assert list(lab.histogram) == sorted(lab.histogram)
+    assert lab.n_components == len(sizes)
+    assert (lab.l1, lab.l2) == (ranked[0], ranked[1])
+    return lab
 
 
 def test_label_no_open_edges():
@@ -85,6 +105,40 @@ def test_label_matches_transitive_closure_exhaustively(d):
         lab = label_components(g, mask)
         oracle = _closure_components(g, mask)
         assert np.array_equal(lab.labels, oracle)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_label_matches_closure_on_keyed_masks(d, seed, p):
+    g = CubeGraph(d)
+    _assert_matches_closure(g, sample_edges(g, SampleKey(seed), p).open_mask)
+
+
+def test_label_gray_code_hamiltonian_path():
+    # the reflected Gray code walks all of Q^10 one edge at a time: a single
+    # component spanned by one long path, which takes many hooking rounds
+    g = CubeGraph(10)
+    mask = np.zeros(g.m, dtype=bool)
+    for k in range(g.n - 1):
+        a, b = k ^ (k >> 1), (k + 1) ^ ((k + 1) >> 1)
+        mask[edge_index(g, EdgeRef(min(a, b), (a ^ b).bit_length() - 1))] = True
+    assert mask.sum() == g.n - 1
+    lab = _assert_matches_closure(g, mask)
+    assert lab.n_components == 1 and not lab.labels.any()
+
+
+def test_label_isolated_vertices():
+    g = CubeGraph(6)
+    isolated = [0, 37, 63]
+    us, vs = edge_endpoint_arrays(g)
+    mask = sample_edges(g, SampleKey(11), 0.6).open_mask & ~np.isin(us, isolated) & ~np.isin(vs, isolated)
+    lab = _assert_matches_closure(g, mask)
+    assert lab.labels[isolated].tolist() == isolated
+    assert lab.vertex_component_size[isolated].tolist() == [1, 1, 1]
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -129,6 +129,16 @@ def test_config_rejects_unreachable_w_threshold(kind):
         assert "w_threshold" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", sorted(k for k in KINDS if KINDS[k].param == "c"))
+def test_config_rejects_c_beyond_d(kind):
+    # these kinds sample or branch at p = c/d, which must not exceed 1
+    ExperimentConfig(kind=kind, d=4, c=4.0)
+    for d, c in ((4, 5.0), (4, 4.000001), (20, 1e9), (4, math.inf)):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, d=d, c=c)
+        assert f"c = {c}" in str(err.value) and "exceed 1" in str(err.value)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_config_bounds_d_for_cube_kinds(kind):
     # raised at construction: before the theory block and before any pool

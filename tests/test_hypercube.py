@@ -86,11 +86,13 @@ def test_degree_regularity_exhaustive(d):
 
 
 def test_edge_endpoint_arrays_match_scalar_path():
-    g = CubeGraph(7)
-    us, vs = edge_endpoint_arrays(g)
-    for idx in range(g.m):
-        u, v = edge_from_index(g, idx).endpoints()
-        assert us[idx] == u and vs[idx] == v
+    for d in (1, 2, 3, 7, 12):
+        g = CubeGraph(d)
+        us, vs = edge_endpoint_arrays(g)
+        assert us.dtype == vs.dtype == np.int64
+        assert us.shape == vs.shape == (g.m,)
+        assert not us.flags.writeable and not vs.flags.writeable
+        assert [edge_from_index(g, idx).endpoints() for idx in range(g.m)] == list(zip(us.tolist(), vs.tolist()))
 
 
 def test_hamming_examples():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubeperc.hypercube import CubeGraph
 from cubeperc.sampler import (
+    _BLOCK,
     BitStream,
     EdgeKeyedBitSource,
     SampleKey,
@@ -102,6 +103,16 @@ def test_kernel_matches_oracle_at_ties(d, key, data):
     for p, is_open in ((u, False), (math.nextafter(u, 0.0), False), (math.nextafter(u, 1.0), True)):
         assert sample_edges(g, key, p).open_mask[e] == is_open
         _assert_kernel_matches_oracle(g, key, p)
+
+
+@pytest.mark.parametrize("d", [11, 13])  # m = 1.375 and 6.5 blocks: the last block is partial
+def test_sample_edges_block_boundaries(d):
+    g = CubeGraph(d)
+    key = SampleKey(2**40 + 3, 5, 1)
+    edges = sorted({e for start in range(0, g.m, _BLOCK) for e in (start - 1, start) if e >= 0} | {g.m - 1})
+    for p in (0.5, 0.1, uniform01(key, _BLOCK)):
+        mask = sample_edges(g, key, p).open_mask
+        assert [bool(mask[e]) for e in edges] == [uniform01(key, e) < p for e in edges]
 
 
 def test_key_validation():
