@@ -32,7 +32,6 @@ from .hypercube import (
     edge_from_index,
     edge_index,
     export_adjacency,
-    hamming_distance,
     neighbors,
 )
 from .oracles import (

@@ -8,7 +8,6 @@ is probed by a capped BFS exploration that consumes one random bit per edge.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,47 +117,46 @@ def explore_component(g: CubeGraph, v: int, stream, cap: int) -> ExplorationResu
     """BFS from v driven by a bit source, stopping at ``cap`` discovered vertices.
 
     Each dequeued vertex queries its d incident edges in increasing direction
-    order; an edge already determined during this exploration is skipped, so
-    every edge consumes at most one bit.  ``stream`` is any object with a
-    ``query(edge_index) -> 0|1`` method.
+    order, each edge at most once.  The edge to a neighbour w was queried
+    before u is dequeued iff w was dequeued earlier (every dequeued vertex
+    queries all its edges, and the cap ends the search), and such an edge
+    cannot discover w, so it is skipped without a bit.  ``queue`` is the FIFO
+    with read index j and ``order`` maps each discovered vertex to its queue
+    position, so "w was dequeued earlier" is ``order[w] < j``.  ``stream`` is
+    any object with a ``query(edge_index) -> 0|1`` method.
     """
     g.check_vertex(v)
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    d = g.d
-    half = 1 << (d - 1)
-    discovered = {v}
-    queue = deque((v,))
-    determined: dict[int, int] = {}
-    edges_queried = 0
-    open_found = 0
-    cap_hit = len(discovered) >= cap
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
+    n, half = g.n, 1 << (g.d - 1)
+    # edge index of (u, u ^ bit) is i * 2^(d-1) + dropbit(u, i), whichever
+    # endpoint is the base, and dropbit(u, i) = ((u >> 1) & high) + (u & low)
+    dirs = [(1 << i, i * half, ~((1 << i) - 1), (1 << i) - 1) for i in range(g.d)]
+    queue = [v]
+    order = {v: 0}
+    get = order.get
     query = stream.query
-    while queue and not cap_hit:
-        u = queue.popleft()
-        for i in range(d):
-            w = u ^ (1 << i)
-            base = u if u < w else w
-            eidx = i * half + (((base >> (i + 1)) << i) | (base & ((1 << i) - 1)))
-            bit = determined.get(eidx)
-            if bit is None:
-                bit = query(eidx)
-                determined[eidx] = bit
-                edges_queried += 1
-                open_found += bit
-            if bit and w not in discovered:
-                discovered.add(w)
-                queue.append(w)
-                if len(discovered) >= cap:
-                    cap_hit = True
-                    break
-    return ExplorationResult(
-        start=v,
-        size=len(discovered),
-        cap_hit=cap_hit,
-        edges_queried=edges_queried,
-        open_found=open_found,
-    )
+    j = edges_queried = open_found = 0
+    cap_hit = cap <= 1
+    while j < len(queue) and not cap_hit:
+        u = queue[j]
+        uh = u >> 1
+        for bit, off, high, low in dirs:
+            w = u ^ bit
+            k = get(w, n)  # w's queue position; n when undiscovered
+            if k < j:
+                continue
+            edges_queried += 1
+            if query(off + (uh & high) + (u & low)):
+                open_found += 1
+                if k == n:
+                    order[w] = len(queue)
+                    queue.append(w)
+                    if len(queue) >= cap:
+                        cap_hit = True
+                        break
+        j += 1
+    return ExplorationResult(v, len(queue), cap_hit, edges_queried, open_found)
 
 
 @dataclass

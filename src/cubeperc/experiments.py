@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -311,6 +310,11 @@ KINDS = {
 _SCALAR_TYPES = {"int": int, "float": float, "str": str}
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but True is no count or dimension
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def config_field_type(f: Field) -> type:
     """The scalar type a config field's values are coerced to.  Annotations
     are strings here (``from __future__ import annotations``), such as
@@ -354,11 +358,11 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if "choices" in f.metadata and value not in f.metadata["choices"]:
                 problems.append(f"{f.name} must be one of {f.metadata['choices']}, got {value!r}")
-        if not isinstance(self.d, int) or self.d < 2:
+        if not _is_int(self.d) or self.d < 2:
             problems.append(f"d must be an integer >= 2, got {self.d!r}")
-        if not isinstance(self.trials, int) or not 1 <= self.trials <= MAX_TRIALS:
+        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
             problems.append(f"trials must be an integer in [1, 2^32], got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
             problems.append(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         spec = KINDS.get(self.kind)
         if spec is not None:
@@ -367,12 +371,12 @@ class ExperimentConfig:
                 problems.append(f"{spec.param} is required for kind={self.kind}")
             elif not spec.in_domain(value):
                 problems.append(f"{spec.param} must {spec.domain} for kind={self.kind}, got {value}")
-            elif spec.param == "c" and isinstance(self.d, int) and self.d >= 2 and value / self.d > 1.0:
+            elif spec.param == "c" and _is_int(self.d) and self.d >= 2 and value / self.d > 1.0:
                 problems.append(f"c = {value} makes p = c/d = {value / self.d:.6g} exceed 1 for kind={self.kind}")
             for other in sorted({k.param for k in KINDS.values()} - {spec.param}):
                 if getattr(self, other) is not None:
                     problems.append(f"{other} must be unset for kind={self.kind}")
-            if isinstance(self.d, int) and 2 <= self.d <= MAX_DIMENSION:  # a larger d is refused below
+            if _is_int(self.d) and 2 <= self.d <= MAX_DIMENSION:  # a larger d is refused below
                 w = self.resolved_w_threshold()  # the default d^2 exceeds 2^d at d = 3
                 if spec.w_threshold and w > self.n:
                     problems.append(f"w_threshold {w} exceeds 2^d = {self.n} for kind={self.kind}")
@@ -380,8 +384,14 @@ class ExperimentConfig:
                     p2 = self.d ** -self.p2_exponent  # as the theory block computes it
                     if p2 > value / self.d:
                         problems.append(f"p2_exponent = {self.p2_exponent} makes d^-p2_exponent = {p2:.6g} exceed c/d")
+        for name in ("w_threshold", "gap_lo", "gap_hi"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
         if self.w_threshold is not None and self.w_threshold < 1:
             problems.append(f"w_threshold must be >= 1, got {self.w_threshold}")
+        if not _is_int(self.gw_progeny_cap) or self.gw_progeny_cap < 1:
+            problems.append(f"gw_progeny_cap must be an integer >= 1, got {self.gw_progeny_cap!r}")
         if self.p2_exponent <= 0:
             problems.append(f"p2_exponent must be positive, got {self.p2_exponent}")
         if (self.gap_lo is None) != (self.gap_hi is None):
@@ -488,6 +498,9 @@ def _map_trials(fn, args_list, workers, on_trial):
             if on_trial:
                 on_trial(i + 1, total)
     else:
+        # imported here: a serial run loads neither multiprocessing nor logging
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, total // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, row in enumerate(pool.map(fn, args_list, chunksize=chunk)):

@@ -103,13 +103,6 @@ def edge_from_index(g: CubeGraph, index: int) -> EdgeRef:
     return EdgeRef(base=_insertbit(index % half, direction), dir=direction)
 
 
-def hamming_distance(u: int, v: int) -> int:
-    """popcount(u XOR v); equals the graph distance between u and v in Q^d."""
-    if u < 0 or v < 0:
-        raise ValueError("vertex ids must be nonnegative")
-    return (u ^ v).bit_count()
-
-
 def export_adjacency(g: CubeGraph) -> list[list[int]]:
     """Explicit adjacency lists, for oracles and generic-graph consumers."""
     if g.d > ADJACENCY_EXPORT_MAX:

@@ -194,27 +194,20 @@ class BitStream:
     def __init__(self, key: SampleKey, p: float):
         self._threshold = _threshold(p)
         self._state = _stream_state(key)
-        self._blocks = 0
         self._buf = b""
         self._pos = _BLOCK
         self.consumed = 0
 
-    def _refill(self) -> None:
-        self._buf = _open_bits(self._state, self._blocks * _BLOCK, _BLOCK, self._threshold).tobytes()
-        self._blocks += 1
-        self._pos = 0
-
-    def next_bit(self) -> int:
-        if self._pos >= _BLOCK:
-            self._refill()
-        bit = self._buf[self._pos]
-        self._pos += 1
-        self.consumed += 1
-        return bit
-
     def query(self, edge_index: int | None = None) -> int:
-        # sequential source: the edge identity is irrelevant, order is all
-        return self.next_bit()
+        # sequential source: the edge identity is irrelevant, order is all;
+        # a spent block ends exactly at counter ``consumed``
+        pos = self._pos
+        if pos >= _BLOCK:
+            self._buf = _open_bits(self._state, self.consumed, _BLOCK, self._threshold).tobytes()
+            pos = 0
+        self._pos = pos + 1
+        self.consumed += 1
+        return self._buf[pos]
 
 
 class EdgeKeyedBitSource:

@@ -181,6 +181,13 @@ def test_experiment_sprinkling_second_round_named(capsys):
     assert "p2_exponent" in err
 
 
+def test_experiment_rejects_zero_progeny_cap(capsys):
+    code, out, err = _run(capsys, "experiment", "--kind", "gw", "--d", "4", "--c", "2", "--gw-progeny-cap", "0")
+    assert code == 1
+    assert out == ""
+    assert "gw_progeny_cap" in err
+
+
 @pytest.mark.parametrize("kind", ["supercritical", "gw"])
 def test_experiment_rejects_c_beyond_d(capsys, kind):
     # p = c/d = 1.25: refused by validation, before the theory block or a pool

@@ -1,10 +1,11 @@
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeperc.components import (
+    ExplorationResult,
     distance_to_set,
     explore_component,
     label_components,
@@ -166,6 +167,61 @@ def test_monotonicity_under_edge_addition():
         assert label_components(g, mask).l1 >= l1_before
 
 
+def _explore_reference(g, v, stream, cap):
+    # the BFS as first written: a determined-edge dict, every edge of every
+    # dequeued vertex looked up, indices from the frozen edge_index
+    discovered = {v}
+    queue = deque((v,))
+    determined = {}
+    edges_queried = open_found = 0
+    cap_hit = len(discovered) >= cap
+    while queue and not cap_hit:
+        u = queue.popleft()
+        for i in range(g.d):
+            w = u ^ (1 << i)
+            eidx = edge_index(g, EdgeRef(min(u, w), i))
+            bit = determined.get(eidx)
+            if bit is None:
+                bit = determined[eidx] = stream.query(eidx)
+                edges_queried += 1
+                open_found += bit
+            if bit and w not in discovered:
+                discovered.add(w)
+                queue.append(w)
+                if len(discovered) >= cap:
+                    cap_hit = True
+                    break
+    return ExplorationResult(v, len(discovered), cap_hit, edges_queried, open_found)
+
+
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.sampled_from([BitStream, EdgeKeyedBitSource]),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_explore_matches_reference(d, seed, p, source, data):
+    # skipping edges back to dequeued vertices changes no bit drawn and no field
+    g = CubeGraph(d)
+    v = data.draw(st.integers(0, g.n - 1), label="start")
+    cap = data.draw(st.one_of(st.sampled_from([1, 2, g.n, g.n + 1]), st.integers(1, g.n + 1)), label="cap")
+    key = SampleKey(seed)
+    stream, reference = source(key, p), source(key, p)
+    assert explore_component(g, v, stream, cap) == _explore_reference(g, v, reference, cap)
+    assert stream.consumed == reference.consumed
+
+
+def test_explore_matches_reference_across_blocks():
+    # the whole of Q^11 queries 11264 edges, past BitStream's first 8192-bit block
+    g = CubeGraph(11)
+    for p in (0.6, 1.0):
+        stream, reference = BitStream(SampleKey(5), p), BitStream(SampleKey(5), p)
+        assert explore_component(g, 7, stream, g.n + 1) == _explore_reference(g, 7, reference, g.n + 1)
+        assert stream.consumed == reference.consumed == g.m
+
+
 def test_explore_all_zero_stream():
     g = CubeGraph(3)
     result = explore_component(g, 0, BitStream(SampleKey(0), 0.0), cap=10)
@@ -212,6 +268,15 @@ def test_explore_cap_one_halts_immediately():
     assert result.size == 1
     assert result.cap_hit
     assert result.edges_queried == 0
+
+
+def test_explore_rejects_non_integer_cap():
+    g = CubeGraph(4)
+    for cap in (2.5, True, 4.0, "4"):
+        with pytest.raises(ValueError, match="cap"):
+            explore_component(g, 0, BitStream(SampleKey(0), 1.0), cap=cap)
+    with pytest.raises(ValueError, match="cap"):
+        explore_component(g, 0, BitStream(SampleKey(0), 1.0), cap=0)
 
 
 def test_hit_probability_extremes():

@@ -1,6 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent import futures
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +134,22 @@ def test_config_rejects_unreachable_w_threshold(kind):
         assert "w_threshold" in str(err.value)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("gw_progeny_cap", 0), ("gw_progeny_cap", -1), ("gw_progeny_cap", 2.5), ("gw_progeny_cap", True),
+    ("w_threshold", 2.5), ("w_threshold", True), ("gap_lo", 1.5), ("gap_hi", 9.5), ("gap_lo", True),
+    ("d", True), ("trials", True), ("seed", False),
+])
+def test_config_rejects_non_integer_counts(name, bad):
+    # a bool is no count; gw_progeny_cap = 0 made every trial "survive" at once
+    good = {"kind": "gw", "d": 8, "c": 2.0}
+    if name != "gw_progeny_cap":
+        good.update(kind="supercritical", gap_lo=1, gap_hi=9)
+    ExperimentConfig(**good)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{**good, name: bad})
+    assert name in str(err.value)
+
+
 @pytest.mark.parametrize("kind", sorted(k for k in KINDS if KINDS[k].param == "c"))
 def test_config_rejects_c_beyond_d(kind):
     # these kinds sample or branch at p = c/d, which must not exceed 1
@@ -216,13 +237,24 @@ class _RecordingPool:
 
 
 def test_pool_never_exceeds_trials(monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)  # _map_trials imports it per pool
     _RecordingPool.sizes = []
     pooled = run_experiment(_small_super(trials=3), workers=64)
     assert _RecordingPool.sizes == [3]
     run_experiment(_small_super(trials=1), workers=64)  # one trial: no pool at all
     assert _RecordingPool.sizes == [3]
     assert pooled.to_json_bytes() == run_experiment(_small_super(trials=3)).to_json_bytes()
+
+
+def test_import_loads_no_process_pool():
+    # a serial run never pays for multiprocessing: it loads with the first pool
+    src = str(Path(experiments.__file__).parents[1])
+    modules = ("concurrent.futures", "concurrent.futures.process", "multiprocessing")
+    probe = f"import sys, cubeperc; print([m for m in {modules!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_aggregates_recomputable_from_rows():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cubeperc.components import distance_to_set
 from cubeperc.errors import CapacityError
 from cubeperc.hypercube import (
     CubeGraph,
@@ -10,7 +11,6 @@ from cubeperc.hypercube import (
     edge_from_index,
     edge_index,
     export_adjacency,
-    hamming_distance,
     neighbors,
 )
 
@@ -48,7 +48,7 @@ def test_neighbors_are_distinct_at_distance_one(d, data):
     nbrs = neighbors(g, v)
     assert len(nbrs) == d
     assert len(set(nbrs)) == d
-    assert all(hamming_distance(v, w) == 1 for w in nbrs)
+    assert all((v ^ w).bit_count() == 1 for w in nbrs)
 
 
 def test_edge_index_examples():
@@ -96,9 +96,14 @@ def test_edge_endpoint_arrays_match_scalar_path():
 
 
 def test_hamming_examples():
-    assert hamming_distance(0, 0) == 0
-    assert hamming_distance(0, 5) == 2
-    assert hamming_distance(3, 4) == 3
+    assert (0 ^ 0).bit_count() == 0
+    assert (0 ^ 5).bit_count() == 2
+    assert (3 ^ 4).bit_count() == 3
+    # popcount(u XOR v) is the graph distance in Q^d
+    g = CubeGraph(4)
+    for u in range(g.n):
+        dist, _ = distance_to_set(g, [u])
+        assert dist.tolist() == [(u ^ v).bit_count() for v in range(g.n)]
 
 
 def test_export_adjacency_small():

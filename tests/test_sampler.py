@@ -57,7 +57,7 @@ def test_round_tags_decorrelate():
 
 def _stream_bits(key, p, count):
     stream = BitStream(key, p)
-    return [stream.next_bit() for _ in range(count)]
+    return [stream.query() for _ in range(count)]
 
 
 def _assert_kernel_matches_oracle(g, key, p):
@@ -233,15 +233,15 @@ def test_union_rate_matches_total_probability():
 
 def test_bit_stream_extremes():
     zeros = BitStream(SampleKey(0), 0.0)
-    assert [zeros.next_bit() for _ in range(20)] == [0] * 20
+    assert [zeros.query() for _ in range(20)] == [0] * 20
     ones = BitStream(SampleKey(0), 1.0)
-    assert [ones.next_bit() for _ in range(20)] == [1] * 20
+    assert [ones.query() for _ in range(20)] == [1] * 20
 
 
 def test_bit_stream_ones_count_band():
     stream = BitStream(SampleKey(99), 0.5)
     n = 100_000
-    total = sum(stream.next_bit() for _ in range(n))
+    total = sum(stream.query() for _ in range(n))
     assert abs(total - 50_000) <= 3 * math.sqrt(25_000)
     assert stream.consumed == n
 
