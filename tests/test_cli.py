@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -73,6 +74,31 @@ def test_sim_histogram(capsys, tmp_path):
     code, _, _ = _run(capsys, "sim", "--d", "4", "--p", "0.5", "--hist", str(path))
     assert code == 0
     assert path.read_text().startswith("size,count")
+
+
+# sha256 of `cubeperc sim` stdout and of its --hist CSV; both cases have
+# many distinct component sizes, so the CSV pins every (size, count) row
+GOLDEN_SIMS = [
+    (
+        ("--d", "10", "--p", "0.12", "--seed", "0"),
+        "0647aa78d2cad5644c6fbdc848d5f09c6c1f757b6e8eef09c8241d1d8d4b4b9c",
+        "a8bd1415768dbb0a68b34f6ffda8c534f061132358a697b12904321923d04915",
+    ),
+    (
+        ("--d", "12", "--p", "0.1", "--seed", "7", "--trial", "3"),
+        "f33731f061aa66daeba8cbd89378cd01b26117f5f9fc67461e344d4a92321260",
+        "999fa479dc9dda2e72f3e6daceeafa8367917d0441bedd09498c2fde96c8307f",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,out_sha,hist_sha", GOLDEN_SIMS, ids=["d10", "d12"])
+def test_golden_sim_bytes(capsys, tmp_path, argv, out_sha, hist_sha):
+    path = tmp_path / "hist.csv"
+    code, out, _ = _run(capsys, "sim", *argv, "--hist", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == hist_sha
 
 
 def test_sim_bad_p(capsys):
