@@ -53,7 +53,6 @@ from .sampler import (
     sample_edges,
     split_probability,
     uniform01,
-    union_samples,
     write_sample,
 )
 from .theory import (

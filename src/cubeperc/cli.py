@@ -55,6 +55,8 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_theory(args) -> int:
+    if args.d is not None and args.d < 1:
+        raise ConfigError(f"--d must be >= 1, got {args.d}")
     out: dict = {}
     if args.c is not None:
         out["c"] = args.c

@@ -21,21 +21,17 @@ class ComponentLabeling:
     """Vertex -> component map plus the derived size statistics.
 
     Labels are canonical: every component is named by its smallest vertex id,
-    so labelings are deterministic given the open set.  l2 is 0 when the
-    graph has a single component.
+    so labelings are deterministic given the open set.  ``component_sizes``
+    lists the sizes by ascending label.  l2 is 0 when the graph has a single
+    component.
     """
 
-    d: int
     labels: np.ndarray
     l1: int
     l2: int
-    histogram: dict[int, int]
+    component_sizes: np.ndarray
     n_components: int
     vertex_component_size: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return 1 << self.d
 
 
 def _open_endpoints(g: CubeGraph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,16 +78,13 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
         u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
     sizes = np.bincount(f, minlength=g.n)
     counts = sizes[sizes > 0]  # component sizes, by ascending label
-    hist = np.bincount(counts)
-    histogram = {int(s): int(hist[s]) for s in hist.nonzero()[0]}
     l1 = int(counts.max())
     l2 = int(np.partition(counts, -2)[-2]) if counts.size >= 2 else 0
     return ComponentLabeling(
-        d=g.d,
         labels=f.astype(np.int64),
         l1=l1,
         l2=l2,
-        histogram=histogram,
+        component_sizes=counts,
         n_components=int(counts.size),
         vertex_component_size=sizes[f],
     )
@@ -106,7 +99,6 @@ class ExplorationResult:
     whenever the revealed component is a tree.
     """
 
-    start: int
     size: int
     cap_hit: bool
     edges_queried: int
@@ -156,14 +148,13 @@ def explore_component(g: CubeGraph, v: int, stream, cap: int) -> ExplorationResu
                         cap_hit = True
                         break
         j += 1
-    return ExplorationResult(v, len(queue), cap_hit, edges_queried, open_found)
+    return ExplorationResult(len(queue), cap_hit, edges_queried, open_found)
 
 
 @dataclass
 class WSet:
     """Vertices whose component reaches the size threshold."""
 
-    threshold: int
     members: np.ndarray
     density: float
 
@@ -173,14 +164,15 @@ def w_set(labeling: ComponentLabeling, threshold: int) -> WSet:
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     members = labeling.vertex_component_size >= threshold
-    return WSet(threshold=int(threshold), members=members, density=float(members.mean()))
+    return WSet(members=members, density=float(members.mean()))
 
 
 def size_gap_count(labeling: ComponentLabeling, lo: int, hi: int) -> int:
-    """Number of components with size in [lo, hi] (from the histogram)."""
+    """Number of components with size in [lo, hi]."""
     if lo > hi:
         raise ValueError(f"empty window: lo={lo} > hi={hi}")
-    return sum(c for s, c in labeling.histogram.items() if lo <= s <= hi)
+    sizes = labeling.component_sizes
+    return int(np.count_nonzero((sizes >= lo) & (sizes <= hi)))
 
 
 def _flip_bit(arr: np.ndarray, i: int) -> np.ndarray:
@@ -188,28 +180,21 @@ def _flip_bit(arr: np.ndarray, i: int) -> np.ndarray:
     return arr.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(arr.shape)
 
 
-def distance_to_set(g: CubeGraph, members) -> tuple[np.ndarray, int]:
-    """Multi-source BFS distances in the FULL cube from the member set.
+def distance_to_set(g: CubeGraph, members: np.ndarray) -> tuple[np.ndarray, int]:
+    """Multi-source BFS distances in the FULL cube from the member set, given
+    as a boolean mask of shape (2^d,).
 
     Returns (per-vertex distance array, maximum distance).  The percolated
     subgraph plays no role here; this measures how well the set spreads
     through Q^d itself.
     """
-    mask = np.zeros(g.n, dtype=bool)
-    if isinstance(members, np.ndarray) and members.dtype == bool:
-        if members.shape != (g.n,):
-            raise ValueError(f"member mask must have shape ({g.n},)")
-        mask |= members
-    else:
-        ids = list(members)
-        for v in ids:
-            g.check_vertex(v)
-        mask[ids] = True
-    if not mask.any():
+    if not isinstance(members, np.ndarray) or members.dtype != bool or members.shape != (g.n,):
+        raise ValueError(f"members must be a boolean mask of shape ({g.n},)")
+    if not members.any():
         raise ValueError("member set must be nonempty")
     dist = np.full(g.n, -1, dtype=np.int32)
-    dist[mask] = 0
-    frontier = mask.copy()
+    dist[members] = 0
+    frontier = members
     level = 0
     while True:
         nbr = np.zeros(g.n, dtype=bool)
@@ -225,8 +210,8 @@ def distance_to_set(g: CubeGraph, members) -> tuple[np.ndarray, int]:
 
 def write_histogram_csv(labeling: ComponentLabeling, path) -> None:
     """Component-size histogram as CSV (size,count), sizes ascending."""
+    sizes, counts = np.unique(labeling.component_sizes, return_counts=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["size", "count"])
-        for s in sorted(labeling.histogram):
-            writer.writerow([s, labeling.histogram[s]])
+        writer.writerows(zip(sizes.tolist(), counts.tolist()))

@@ -24,7 +24,7 @@ from . import theory
 from .components import distance_to_set, explore_component, label_components, size_gap_count, w_set
 from .errors import CapacityError, ConfigError
 from .hypercube import MAX_DIMENSION, CubeGraph
-from .sampler import BitStream, SampleKey, sample_edges, split_probability, union_samples
+from .sampler import BitStream, SampleKey, sample_edges, split_probability
 
 REPORT_FORMATS = ("csv", "json")
 MAX_TRIALS = 1 << 32  # trial indices must fit SampleKey's 32-bit field
@@ -91,7 +91,8 @@ def _sprinkling_trial(args) -> dict:
     g2 = sample_edges(g, SampleKey(seed, trial, 2), p2)
     labeling1 = label_components(g, g1)
     w1 = w_set(labeling1, w_threshold)
-    union = union_samples(g1, g2)
+    # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p
+    union = g1.open_mask | g2.open_mask
     labeling_u = label_components(g, union)
     w1_size = int(w1.members.sum())
     if w1_size:
@@ -100,7 +101,7 @@ def _sprinkling_trial(args) -> dict:
     else:
         w1_components = 0
         merged = 1  # vacuously: nothing to merge
-    union_open = int(union.open_mask.sum())
+    union_open = int(union.sum())
     return {
         "trial": trial,
         "w1_size": w1_size,
@@ -392,7 +393,7 @@ class ExperimentConfig:
             problems.append(f"w_threshold must be >= 1, got {self.w_threshold}")
         if not _is_int(self.gw_progeny_cap) or self.gw_progeny_cap < 1:
             problems.append(f"gw_progeny_cap must be an integer >= 1, got {self.gw_progeny_cap!r}")
-        if self.p2_exponent <= 0:
+        if not self.p2_exponent > 0:  # NaN fails too
             problems.append(f"p2_exponent must be positive, got {self.p2_exponent}")
         if (self.gap_lo is None) != (self.gap_hi is None):
             problems.append("gap_lo and gap_hi must be given together")

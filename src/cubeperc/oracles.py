@@ -98,10 +98,6 @@ class HarperReport:
     violations: list[HarperViolation]
     weak_violations: list[HarperViolation]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.weak_violations
-
 
 def harper_check(d: int) -> HarperReport:
     """Exhaustively verify e(S, S-bar) >= |S| (d - log2 |S|) on Q^d.

@@ -117,17 +117,13 @@ def _open_bits(state: int, start: int, count: int, threshold: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class EdgeSample:
-    """The open-edge set of one percolation draw over Q^d.
-
-    ``open_mask[e]`` is True iff uniform01(key, e) < p.  ``key`` is None for
-    derived sets (unions), whose membership is no longer a single-key
-    function; ``p`` then holds the effective per-edge open probability.
-    """
+    """The open-edge set of one percolation draw over Q^d:
+    ``open_mask[e]`` is True iff uniform01(key, e) < p."""
 
     d: int
     p: float
     open_mask: np.ndarray
-    key: SampleKey | None = None
+    key: SampleKey
 
     def __post_init__(self):
         self.open_mask.setflags(write=False)
@@ -169,18 +165,6 @@ def split_probability(p: float, p2: float) -> SprinklingSplit:
     # degenerate split is the exact identity, not 1 - (1 - p)
     p1 = p if p2 == 0.0 else 1.0 - (1.0 - p) / (1.0 - p2)
     return SprinklingSplit(p=float(p), p1=float(p1), p2=float(p2))
-
-
-def union_samples(a: EdgeSample, b: EdgeSample) -> EdgeSample:
-    """Union of two draws; per-edge open probability 1-(1-p_a)(1-p_b).
-
-    With independent rounds at the split probabilities this is distributed
-    exactly as a single draw at p.
-    """
-    if a.d != b.d:
-        raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    p = 1.0 - (1.0 - a.p) * (1.0 - b.p)
-    return EdgeSample(d=a.d, p=p, open_mask=a.open_mask | b.open_mask, key=None)
 
 
 class BitStream:
@@ -234,8 +218,6 @@ _DUMP_HEADER = struct.Struct("<IQIId")  # d, seed, trial, round, p
 def write_sample(sample: EdgeSample, path) -> None:
     """Binary dump: header (d, seed, trial, round, p) then a packed bitmap of
     m bits, little-endian bit order by edge index."""
-    if sample.key is None:
-        raise ValueError("only single-key samples can be dumped (union sets carry no key)")
     header = _DUMP_HEADER.pack(
         sample.d, sample.key.seed, sample.key.trial, sample.key.round, sample.p
     )

@@ -36,6 +36,15 @@ def test_theory_domain_error(capsys):
     assert "c" in err or "1" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--c", "2"), ("--eps", "0.3")])
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_theory_rejects_nonpositive_d(capsys, d, extra):
+    code, out, err = _run(capsys, "theory", "--d", d, *extra)
+    assert code == 1
+    assert out == ""
+    assert "--d" in err
+
+
 def test_theory_no_flags(capsys):
     code, _, _ = _run(capsys, "theory")
     assert code == 1
@@ -204,6 +213,16 @@ def test_experiment_sprinkling_second_round_named(capsys):
         capsys, "experiment", "--kind", "sprinkling", "--d", "8", "--c", "2", "--p2-exponent", "0.5",
     )
     assert code == 1
+    assert "p2_exponent" in err
+
+
+def test_experiment_rejects_nan_p2_exponent(capsys):
+    code, out, err = _run(
+        capsys, "experiment", "--kind", "sprinkling", "--d", "8", "--c", "2", "--trials", "1",
+        "--p2-exponent", "nan",
+    )
+    assert code == 1
+    assert out == ""
     assert "p2_exponent" in err
 
 

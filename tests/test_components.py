@@ -52,8 +52,7 @@ def _assert_matches_closure(g, mask):
     assert lab.labels.dtype == np.int64
     assert lab.labels.tolist() == oracle
     assert lab.vertex_component_size.tolist() == [sizes[x] for x in oracle]
-    assert lab.histogram == dict(Counter(sizes.values()))
-    assert list(lab.histogram) == sorted(lab.histogram)
+    assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
     assert lab.n_components == len(sizes)
     assert (lab.l1, lab.l2) == (ranked[0], ranked[1])
     return lab
@@ -65,7 +64,7 @@ def test_label_no_open_edges():
     assert lab.l1 == 1
     assert lab.l2 == 1
     assert lab.n_components == g.n
-    assert lab.histogram == {1: g.n}
+    assert lab.component_sizes.tolist() == [1] * g.n
 
 
 def test_label_all_open():
@@ -147,8 +146,9 @@ def test_label_isolated_vertices():
 def test_histogram_consistency(d, seed):
     g = CubeGraph(d)
     lab = label_components(g, sample_edges(g, SampleKey(seed), 0.3))
-    assert sum(s * c for s, c in lab.histogram.items()) == g.n
+    assert lab.component_sizes.sum() == g.n
     _, sizes = np.unique(lab.labels, return_counts=True)
+    assert sizes.tolist() == lab.component_sizes.tolist()
     assert sizes.size == lab.n_components
     assert lab.l1 == sizes.max()
 
@@ -191,7 +191,7 @@ def _explore_reference(g, v, stream, cap):
                 if len(discovered) >= cap:
                     cap_hit = True
                     break
-    return ExplorationResult(v, len(discovered), cap_hit, edges_queried, open_found)
+    return ExplorationResult(len(discovered), cap_hit, edges_queried, open_found)
 
 
 @given(
@@ -308,8 +308,15 @@ def test_size_gap_count():
     lab = label_components(g, np.zeros(g.m, dtype=bool))
     assert size_gap_count(lab, 1, g.n) == lab.n_components
     assert size_gap_count(lab, 2, g.n) == 0
+    assert size_gap_count(lab, -5, 1) == lab.n_components
+    assert size_gap_count(lab, -5, 0) == 0
     with pytest.raises(ValueError):
         size_gap_count(lab, 5, 4)
+    g = CubeGraph(6)
+    lab = label_components(g, sample_edges(g, SampleKey(4), 0.25))
+    sizes = Counter(lab.labels.tolist()).values()
+    for lo, hi in [(-5, 3), (0, 0), (0, 2), (2, 5), (3, 64), (-64, 64)]:
+        assert size_gap_count(lab, lo, hi) == sum(1 for s in sizes if lo <= s <= hi)
 
 
 def test_distance_all_members():
@@ -321,7 +328,7 @@ def test_distance_all_members():
 
 def test_distance_single_source_diameter():
     g = CubeGraph(3)
-    dist, mx = distance_to_set(g, [0])
+    dist, mx = distance_to_set(g, np.arange(g.n) == 0)
     assert mx == 3  # antipode
     for v in range(g.n):
         assert dist[v] == bin(v).count("1")
@@ -330,7 +337,13 @@ def test_distance_single_source_diameter():
 def test_distance_empty_set_rejected():
     g = CubeGraph(3)
     with pytest.raises(ValueError):
-        distance_to_set(g, [])
+        distance_to_set(g, np.zeros(g.n, dtype=bool))
+
+
+@pytest.mark.parametrize("members", [[0], np.array([0, 1]), np.ones(8, dtype=np.int64), np.ones(4, dtype=bool)])
+def test_distance_takes_only_a_full_boolean_mask(members):
+    with pytest.raises(ValueError):
+        distance_to_set(CubeGraph(3), members)
 
 
 def test_distance_w_set_typical_trial():
@@ -351,4 +364,4 @@ def test_histogram_csv(tmp_path):
     assert lines[0] == "size,count"
     parsed = [tuple(map(int, line.split(","))) for line in lines[1:]]
     assert parsed == sorted(parsed)
-    assert dict(parsed) == lab.histogram
+    assert dict(parsed) == Counter(lab.component_sizes.tolist())

@@ -160,6 +160,14 @@ def test_config_rejects_c_beyond_d(kind):
         assert f"c = {c}" in str(err.value) and "exceed 1" in str(err.value)
 
 
+@pytest.mark.parametrize("exponent", [0.0, -1.0, math.nan])
+def test_config_rejects_nonpositive_p2_exponent(exponent):
+    # NaN fails every comparison, so it must be refused as "not > 0"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(kind="sprinkling", d=8, c=2.0, p2_exponent=exponent)
+    assert "p2_exponent must be positive" in str(err.value)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_config_bounds_d_for_cube_kinds(kind):
     # raised at construction: before the theory block and before any pool

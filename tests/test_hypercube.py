@@ -102,7 +102,7 @@ def test_hamming_examples():
     # popcount(u XOR v) is the graph distance in Q^d
     g = CubeGraph(4)
     for u in range(g.n):
-        dist, _ = distance_to_set(g, [u])
+        dist, _ = distance_to_set(g, np.arange(g.n) == u)
         assert dist.tolist() == [(u ^ v).bit_count() for v in range(g.n)]
 
 

@@ -141,7 +141,7 @@ def test_exact_distribution_capacity():
 
 
 def test_exact_distribution_agrees_with_sampled_labeling_q3():
-    # cross-check the DFS oracle against the union-find pipeline on Q^3
+    # cross-check the DFS oracle against array labeling on Q^3
     g = CubeGraph(3)
     small = SmallGraph.from_cube(g)
     dist = exact_percolation_distribution(small, 0.3)

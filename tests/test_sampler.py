@@ -15,7 +15,6 @@ from cubeperc.sampler import (
     sample_edges,
     split_probability,
     uniform01,
-    union_samples,
     write_sample,
 )
 
@@ -204,15 +203,8 @@ def test_union_identity_and_absorbing():
     a = sample_edges(g, SampleKey(1, 0, 1), 0.4)
     empty = sample_edges(g, SampleKey(1, 0, 2), 0.0)
     full = sample_edges(g, SampleKey(1, 0, 2), 1.0)
-    assert np.array_equal(union_samples(a, empty).open_mask, a.open_mask)
-    assert union_samples(a, full).open_count == g.m
-
-
-def test_union_dimension_mismatch():
-    a = sample_edges(CubeGraph(3), SampleKey(0, 0, 1), 0.5)
-    b = sample_edges(CubeGraph(4), SampleKey(0, 0, 2), 0.5)
-    with pytest.raises(ValueError):
-        union_samples(a, b)
+    assert np.array_equal(a.open_mask | empty.open_mask, a.open_mask)
+    assert (a.open_mask | full.open_mask).all()
 
 
 def test_union_rate_matches_total_probability():
@@ -225,7 +217,7 @@ def test_union_rate_matches_total_probability():
     for t in range(trials):
         g1 = sample_edges(g, SampleKey(5, t, 1), split.p1)
         g2 = sample_edges(g, SampleKey(5, t, 2), split.p2)
-        total_open += union_samples(g1, g2).open_count
+        total_open += int((g1.open_mask | g2.open_mask).sum())
     rate = total_open / (trials * g.m)
     se = math.sqrt(p * (1 - p) / (trials * g.m))
     assert abs(rate - p) <= 3 * se
@@ -306,11 +298,3 @@ def test_binary_dump_header_out_of_range_rejected(tmp_path, d, p):
     path.write_bytes(struct.pack("<IQIId", d, 3, 1, 0, p) + raw[28:])
     with pytest.raises(ValueError):
         read_sample(path)
-
-
-def test_union_sample_cannot_be_dumped(tmp_path):
-    g = CubeGraph(4)
-    a = sample_edges(g, SampleKey(0, 0, 1), 0.2)
-    b = sample_edges(g, SampleKey(0, 0, 2), 0.2)
-    with pytest.raises(ValueError):
-        write_sample(union_samples(a, b), tmp_path / "u.bin")

@@ -1,4 +1,5 @@
-"""Smoke test: each study script runs to completion at tiny sizes."""
+"""Smoke tests: each study script runs to completion at tiny sizes, and the
+package API that ``perfbench/`` calls is still there at d = 4."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cubeperc as cp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +31,34 @@ def test_script_runs(tmp_path, script, argv):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_api_surface(tmp_path):
+    # the calls and attribute reads of perfbench/spans.py and worker.py; the
+    # Tier-1 run does not collect perfbench/, so a deletion shows up here
+    d, c, seed = 4, 2.0, 3
+    g = cp.CubeGraph(d)
+    us, vs = cp.edge_endpoint_arrays(g)
+    assert us.shape == vs.shape == (g.m,)
+    cp.solve_y(c)
+    cp.second_component_bound(c, d)
+    cfg = cp.ExperimentConfig(kind="supercritical", d=d, c=c, trials=2, seed=seed)
+    lo, hi = cfg.resolved_gap_window()
+    sample = cp.sample_edges(g, cp.SampleKey(seed, 0, 0), c / d)
+    labeling = cp.label_components(g, sample)
+    w = cp.w_set(labeling, labeling.l1)  # nonempty, as distance_to_set needs
+    _, max_dist = cp.distance_to_set(g, w.members)
+    gap = cp.size_gap_count(labeling, lo, hi)
+    assert 0 <= sample.open_count <= g.m
+    assert labeling.l1 >= labeling.l2 >= 0 and labeling.n_components >= 1
+    assert 0.0 < w.density <= 1.0 and max_dist >= 0 and gap >= 0
+    stream = cp.BitStream(cp.SampleKey(seed, 0, 0), c / d)
+    result = cp.explore_component(g, 0, stream, cap=d * d)
+    assert stream.consumed == result.edges_queried
+    assert isinstance(result.cap_hit, bool) and 1 <= result.size <= d * d
+    for kind in ("supercritical", "hitprob"):
+        cfg = cp.ExperimentConfig(kind=kind, d=d, c=c, trials=2, seed=seed)
+        report = cp.run_experiment(cfg, workers=1, on_trial=lambda done, total: None)
+        cp.write_report(report, tmp_path / f"{kind}.json", "json")
+        assert [row["trial"] for row in report.rows] == [0, 1]
+    assert cp.__version__
