@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import fields
 
 from . import theory
-from .components import label_components, write_histogram_csv
+from .components import label_sample, write_histogram_csv
 from .errors import CapacityError, ConfigError
 from .experiments import (
     ExperimentConfig,
@@ -26,7 +28,7 @@ from .experiments import (
 )
 from .hypercube import CubeGraph
 from .oracles import SmallGraph, count_subtrees, exact_percolation_distribution, harper_check
-from .sampler import SampleKey, sample_edges
+from .sampler import SampleKey
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +59,8 @@ def _emit(doc: dict) -> None:
 def cmd_theory(args) -> int:
     if args.d is not None and args.d < 1:
         raise ConfigError(f"--d must be >= 1, got {args.d}")
+    if args.c is not None and args.d is not None and args.c / args.d > 1.0:
+        raise ConfigError(f"--c {args.c} and --d {args.d} make p = c/d = {args.c / args.d:.6g} exceed 1")
     out: dict = {}
     if args.c is not None:
         out["c"] = args.c
@@ -78,15 +82,22 @@ def cmd_theory(args) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def cmd_sim(args) -> int:
+    start = time.perf_counter()
     g = CubeGraph(args.d)
     if not 0.0 <= args.p <= 1.0:
         raise ConfigError(f"--p must lie in [0, 1], got {args.p}")
-    sample = sample_edges(g, SampleKey(args.seed, args.trial, 0), args.p)
-    labeling = label_components(g, sample)
+    labeling = label_sample(g, SampleKey(args.seed, args.trial, 0), args.p)
     print(
         f"Q^{args.d} at p={args.p}: l1={labeling.l1} l2={labeling.l2} "
-        f"components={labeling.n_components}",
+        f"components={labeling.n_components} "
+        f"wall={time.perf_counter() - start:.2f}s peak_rss={_peak_rss_mb():.0f}MB",
         file=sys.stderr,
     )
     if args.hist:
@@ -98,7 +109,7 @@ def cmd_sim(args) -> int:
             "p": args.p,
             "seed": args.seed,
             "trial": args.trial,
-            "open_edges": sample.open_count,
+            "open_edges": labeling.open_edges,
             "l1": labeling.l1,
             "l2": labeling.l2,
             "n_components": labeling.n_components,

@@ -1,19 +1,23 @@
 """Component extraction and the statistics the percolation study measures.
 
 Full labeling hooks minimum labels along the open edges, with numpy pointer
-jumping, and so names every component by its smallest vertex; local structure
-is probed by a capped BFS exploration that consumes one random bit per edge.
+jumping, and so names every component by its smallest vertex.  Its input is
+the open edges one direction at a time, as int32 base endpoints, so a trial
+never holds the m-length edge mask (``label_sample``).  Local structure is
+probed by a capped BFS exploration that consumes one random bit per edge,
+and distances to a vertex set run as a BFS on bit-packed frontiers.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .hypercube import CubeGraph, _insertbit
-from .sampler import EdgeSample
+from .hypercube import CubeGraph, direction_bases
+from .sampler import EdgeSample, SampleKey, sample_directions
 
 
 @dataclass
@@ -23,33 +27,36 @@ class ComponentLabeling:
     Labels are canonical: every component is named by its smallest vertex id,
     so labelings are deterministic given the open set.  ``component_sizes``
     lists the sizes by ascending label.  l2 is 0 when the graph has a single
-    component.
+    component.  ``open_edges`` counts the open edges labeled.
+
+    The labeling keeps the int32 label of every vertex and the ascending
+    labels of the components; ``labels`` and ``vertex_component_size`` are
+    the int64 per-vertex forms, built on first use.
     """
 
-    labels: np.ndarray
     l1: int
     l2: int
     component_sizes: np.ndarray
     n_components: int
-    vertex_component_size: np.ndarray
+    open_edges: int
+    _vertex_labels: np.ndarray = field(repr=False)
+    _component_labels: np.ndarray = field(repr=False)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self._vertex_labels.astype(np.int64)
+
+    @cached_property
+    def vertex_component_size(self) -> np.ndarray:
+        sizes = np.zeros(self._vertex_labels.size, dtype=np.int64)
+        sizes[self._component_labels] = self.component_sizes
+        return sizes[self._vertex_labels]
 
 
-def _open_endpoints(g: CubeGraph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # direction i owns edge indices [i * 2^(d-1), (i+1) * 2^(d-1)); within it
-    # the offset is dropbit(base, i), so insertbit recovers the base endpoint
-    half = 1 << (g.d - 1)
-    us, vs = [], []
-    for i in range(g.d):
-        base = _insertbit(mask[i * half:(i + 1) * half].nonzero()[0].astype(np.int32), i)
-        us.append(base)
-        vs.append(base | (1 << i))
-    return np.concatenate(us), np.concatenate(vs)
-
-
-def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
-    """Label every vertex of Q^d with its component under the open edges.
-
-    ``open_edges`` is an EdgeSample or a boolean mask over edge indices.
+def label_bases(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
+    """Label every vertex of Q^d with its component under the open edges
+    given per direction: ``bases[i]`` holds the int32 base endpoints u of
+    the open edges (u, u | 2^i), as ``direction_bases`` gives them.
 
     Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): start
     from f = identity; while some open edge (u, v) has f[u] != f[v], hook the
@@ -57,37 +64,80 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     f -> f[f] to its fixed point.  Each round hooks at least one root onto a
     smaller vertex, so the loop ends.
 
-    Canonical labels follow without a sort.  f[x] is always a vertex of x's
-    component and f[x] <= x, so a component's minimum never moves off itself.
-    When the loop ends every open edge joins equal labels, so each component
-    has exactly one root, and that root is its minimum.
+    The first hook runs against the identity one direction at a time, in
+    increasing order: direction i writes f[u | 2^i] = u.  Any such write
+    keeps f[v] < v in v's component, and as u = v - 2^i falls with i, the
+    last write is v's smallest open lower neighbour, as np.minimum.at would
+    leave it.  After the first jump the per-direction lists become the
+    endpoint arrays and are released.  From then on the loop carries only
+    the label pairs (lu, lv) of the edges still unjoined, not the edges:
+    hooks write only roots and f is a star after jumping, so u's new label
+    f'[u] equals f'[f[u]], i.e. lu -> f[lu].
+
+    Labels come out canonical with no relabeling pass.  f[x] is always a
+    vertex of x's component and f[x] <= x, so a component's minimum never
+    moves off itself.  When the loop ends every open edge joins equal
+    labels, so each component has exactly one root, and that root is its
+    minimum.  The component sizes are counted from the sorted labels.
     """
+    f = np.arange(g.n, dtype=np.int32)
+    open_edges = 0
+    for i, u in enumerate(bases):
+        f[u | (1 << i)] = u
+        open_edges += u.size
+    lu = None
+    while True:
+        # jump inline, so that each step frees the array it replaces; f[f]
+        # reads the int32 indices as they are, where take copies them to intp
+        nxt = f[f]
+        while np.count_nonzero(nxt != f):
+            f, nxt = nxt, nxt[nxt]
+        del nxt
+        if lu is None:  # first round: the endpoints of every open edge
+            lv = np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
+            lu = np.concatenate(bases)
+            del bases  # the only reference when the caller passes a fresh list
+        lu = f[lu]  # one at a time, so that at most three pair arrays are held
+        lv = f[lv]
+        differ = lu != lv
+        lu, lv = lu[differ], lv[differ]
+        if not lu.size:
+            break
+        np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
+    # on the giant-dominated labels of a supercritical draw the sort beats
+    # bincount, and it needs no intp copy of f or n-length int64 counts
+    ordered = f.copy()
+    ordered.sort()
+    first = np.ones(g.n + 1, dtype=bool)  # a label starts at k; k = n closes the last
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
+    starts = first.nonzero()[0]
+    counts = starts[1:] - starts[:-1]  # component sizes, by ascending label
+    top = np.partition(counts, -2)[-2:] if counts.size >= 2 else (0, counts[0])
+    return ComponentLabeling(
+        l1=int(top[1]),
+        l2=int(top[0]),
+        component_sizes=counts,
+        n_components=int(counts.size),
+        open_edges=open_edges,
+        _vertex_labels=f,
+        _component_labels=ordered[starts[:-1]],
+    )
+
+
+def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
+    """``label_bases`` over an EdgeSample or a boolean mask over edge
+    indices; direction i owns the indices [i * 2^(d-1), (i+1) * 2^(d-1))."""
     mask = open_edges.open_mask if isinstance(open_edges, EdgeSample) else np.asarray(open_edges, dtype=bool)
     if mask.shape != (g.m,):
         raise ValueError(f"open mask must have shape ({g.m},), got {mask.shape}")
-    u, v = _open_endpoints(g, mask)
-    f = np.arange(g.n, dtype=np.int32)
-    lu, lv = u, v  # f[u], f[v] while f is the identity
-    while lu.size:
-        np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
-        nxt = f[f]
-        while (nxt != f).any():
-            f, nxt = nxt, nxt[nxt]
-        lu, lv = f[u], f[v]
-        differ = lu != lv
-        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
-    sizes = np.bincount(f, minlength=g.n)
-    counts = sizes[sizes > 0]  # component sizes, by ascending label
-    l1 = int(counts.max())
-    l2 = int(np.partition(counts, -2)[-2]) if counts.size >= 2 else 0
-    return ComponentLabeling(
-        labels=f.astype(np.int64),
-        l1=l1,
-        l2=l2,
-        component_sizes=counts,
-        n_components=int(counts.size),
-        vertex_component_size=sizes[f],
-    )
+    return label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
+
+
+def label_sample(g: CubeGraph, key: SampleKey, p: float) -> ComponentLabeling:
+    """``label_components(g, sample_edges(g, key, p))``, streamed: each
+    direction is sampled into one reused buffer and kept only as its open
+    base endpoints."""
+    return label_bases(g, [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p))])
 
 
 @dataclass(frozen=True)
@@ -163,8 +213,10 @@ def w_set(labeling: ComponentLabeling, threshold: int) -> WSet:
     """Membership and density of {v : |C(v)| >= threshold}."""
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
-    members = labeling.vertex_component_size >= threshold
-    return WSet(members=members, density=float(members.mean()))
+    big = np.zeros(labeling._vertex_labels.size, dtype=bool)
+    big[labeling._component_labels[labeling.component_sizes >= threshold]] = True
+    members = big[labeling._vertex_labels]
+    return WSet(members=members, density=np.count_nonzero(members) / members.size)
 
 
 def size_gap_count(labeling: ComponentLabeling, lo: int, hi: int) -> int:
@@ -175,18 +227,38 @@ def size_gap_count(labeling: ComponentLabeling, lo: int, hi: int) -> int:
     return int(np.count_nonzero((sizes >= lo) & (sizes <= hi)))
 
 
-def _flip_bit(arr: np.ndarray, i: int) -> np.ndarray:
-    # the permutation v -> v XOR 2^i of a flat per-vertex array
-    return arr.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(arr.shape)
+# _LOW_HALF[i] has bit b set iff bit i of b is 0: the bits that a flip in
+# direction i < 6 moves up by 2^i inside a 64-bit word
+_LOW_HALF = [np.uint64(w) for w in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+)]
+
+
+def _or_flipped(out: np.ndarray, words: np.ndarray, i: int) -> None:
+    # out |= the vertex set of ``words`` moved by v -> v XOR 2^i
+    if i < 6:
+        shift = np.uint64(1 << i)
+        out |= (words & _LOW_HALF[i]) << shift
+        out |= (words >> shift) & _LOW_HALF[i]
+    else:
+        blocks = (-1, 2, 1 << (i - 6))
+        out.reshape(blocks)[...] |= words.reshape(blocks)[:, ::-1, :]
 
 
 def distance_to_set(g: CubeGraph, members: np.ndarray) -> tuple[np.ndarray, int]:
     """Multi-source BFS distances in the FULL cube from the member set, given
     as a boolean mask of shape (2^d,).
 
-    Returns (per-vertex distance array, maximum distance).  The percolated
-    subgraph plays no role here; this measures how well the set spreads
-    through Q^d itself.
+    Returns (per-vertex int32 distance array, maximum distance).  The
+    percolated subgraph plays no role here; this measures how well the set
+    spreads through Q^d itself.
+
+    The frontier and the visited set are packed, vertex v at bit v % 64 of
+    uint64 word v // 64, with n padded to at least one word.  A flip in
+    direction i < 6 is a masked shift inside each word; one in direction
+    i >= 6 swaps blocks of 2^(i-6) words.  Bits at or above n are never set,
+    since each flip maps [0, 2^d) to itself.
     """
     if not isinstance(members, np.ndarray) or members.dtype != bool or members.shape != (g.n,):
         raise ValueError(f"members must be a boolean mask of shape ({g.n},)")
@@ -194,18 +266,23 @@ def distance_to_set(g: CubeGraph, members: np.ndarray) -> tuple[np.ndarray, int]
         raise ValueError("member set must be nonempty")
     dist = np.full(g.n, -1, dtype=np.int32)
     dist[members] = 0
-    frontier = members
+    packed = np.zeros(max(g.n, 64) // 8, dtype=np.uint8)
+    packed[:(g.n + 7) // 8] = np.packbits(members, bitorder="little")
+    frontier = packed.view("<u8")
+    seen = frontier.copy()
+    nbr = np.empty_like(frontier)
     level = 0
     while True:
-        nbr = np.zeros(g.n, dtype=bool)
+        nbr[:] = 0
         for i in range(g.d):
-            nbr |= _flip_bit(frontier, i)
-        frontier = nbr & (dist < 0)
-        if not frontier.any():
-            break
+            _or_flipped(nbr, frontier, i)
+        nbr &= ~seen
+        if not nbr.any():
+            return dist, level
         level += 1
-        dist[frontier] = level
-    return dist, int(dist.max())
+        seen |= nbr
+        dist[np.unpackbits(nbr.view(np.uint8), count=g.n, bitorder="little").view(bool)] = level
+        frontier, nbr = nbr, frontier
 
 
 def write_histogram_csv(labeling: ComponentLabeling, path) -> None:

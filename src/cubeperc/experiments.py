@@ -21,10 +21,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import theory
-from .components import distance_to_set, explore_component, label_components, size_gap_count, w_set
+from .components import distance_to_set, explore_component, label_bases, label_sample, size_gap_count, w_set
 from .errors import CapacityError, ConfigError
-from .hypercube import MAX_DIMENSION, CubeGraph
-from .sampler import BitStream, SampleKey, sample_edges, split_probability
+from .hypercube import MAX_DIMENSION, CubeGraph, direction_bases
+from .sampler import BitStream, SampleKey, sample_directions, split_probability
 
 REPORT_FORMATS = ("csv", "json")
 MAX_TRIALS = 1 << 32  # trial indices must fit SampleKey's 32-bit field
@@ -52,8 +52,7 @@ def _r12(x):
 def _supercritical_trial(args) -> dict:
     seed, trial, d, p, w_threshold, gap_lo, gap_hi = args
     g = CubeGraph(d)
-    sample = sample_edges(g, SampleKey(seed, trial, 0), p)
-    labeling = label_components(g, sample)
+    labeling = label_sample(g, SampleKey(seed, trial, 0), p)
     w = w_set(labeling, w_threshold)
     if w.members.any():
         _, max_dist = distance_to_set(g, w.members)
@@ -72,9 +71,7 @@ def _supercritical_trial(args) -> dict:
 
 def _subcritical_trial(args) -> dict:
     seed, trial, d, p, bound = args
-    g = CubeGraph(d)
-    sample = sample_edges(g, SampleKey(seed, trial, 0), p)
-    labeling = label_components(g, sample)
+    labeling = label_sample(CubeGraph(d), SampleKey(seed, trial, 0), p)
     return {
         "trial": trial,
         "l1": labeling.l1,
@@ -87,21 +84,23 @@ def _subcritical_trial(args) -> dict:
 def _sprinkling_trial(args) -> dict:
     seed, trial, d, p1, p2, w_threshold = args
     g = CubeGraph(d)
-    g1 = sample_edges(g, SampleKey(seed, trial, 1), p1)
-    g2 = sample_edges(g, SampleKey(seed, trial, 2), p2)
-    labeling1 = label_components(g, g1)
+    rounds = zip(
+        sample_directions(g, SampleKey(seed, trial, 1), p1),
+        sample_directions(g, SampleKey(seed, trial, 2), p2),
+    )
+    bases1, bases_u = [], []
+    for i, (open1, open2) in enumerate(rounds):
+        bases1.append(direction_bases(open1, i))
+        # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p
+        bases_u.append(direction_bases(open1 | open2, i))
+    labeling1 = label_bases(g, bases1)
+    labeling_u = label_bases(g, bases_u)
     w1 = w_set(labeling1, w_threshold)
-    # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p
-    union = g1.open_mask | g2.open_mask
-    labeling_u = label_components(g, union)
-    w1_size = int(w1.members.sum())
-    if w1_size:
-        w1_components = int(np.unique(labeling1.labels[w1.members]).size)
-        merged = int(np.unique(labeling_u.labels[w1.members]).size == 1)
-    else:
-        w1_components = 0
-        merged = 1  # vacuously: nothing to merge
-    union_open = int(union.sum())
+    w1_size = int(np.count_nonzero(w1.members))
+    w1_components = int(np.count_nonzero(labeling1.component_sizes >= w_threshold))
+    union_labels = labeling_u.labels[w1.members]
+    merged = int(union_labels.min() == union_labels.max()) if w1_size else 1  # vacuously: nothing to merge
+    union_open = labeling_u.open_edges
     return {
         "trial": trial,
         "w1_size": w1_size,

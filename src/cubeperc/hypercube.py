@@ -83,7 +83,15 @@ def _dropbit(x: int, i: int) -> int:
 
 
 def _insertbit(x: int, i: int) -> int:
-    return ((x >> i) << (i + 1)) | (x & ((1 << i) - 1))
+    # x = high * 2^i + low becomes high * 2^(i+1) + low
+    return x + ((x >> i) << i)
+
+
+def direction_bases(mask: np.ndarray, i: int) -> np.ndarray:
+    """Base endpoints, as int32 in increasing order, of the open edges of
+    direction i, given direction i's bool slice of an edge mask: entry k is
+    edge i * 2^(d-1) + k, whose base is insertbit(k, i)."""
+    return _insertbit(mask.nonzero()[0].astype(np.int32), i)
 
 
 def edge_index(g: CubeGraph, e: EdgeRef) -> int:

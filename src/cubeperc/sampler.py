@@ -41,7 +41,12 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TO_UNIT = 2.0**-53
-_BLOCK = 8192  # counters per _open_bits call in sample_edges and BitStream
+_BLOCK = 8192  # counters per splitmix64 pass in _open_bits; BitStream's block
+_BLOCK_STEP = (_BLOCK * _GAMMA) & _M64
+_STEPS = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GAMMA)  # c * GAMMA mod 2^64
+_STEPS.setflags(write=False)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
 def _mix64(x: int) -> int:
@@ -95,24 +100,43 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2**53)
 
 
-def _open_bits(state: int, start: int, count: int, threshold: int) -> np.ndarray:
-    """Open bits for counters [start, start + count) of the stream at
-    ``state``: bit i is uniform01(key, i) < p, given threshold = _threshold(p).
+def _open_bits(state: int, start: int, threshold: int, out: np.ndarray) -> None:
+    """Fill the bool array ``out`` with the open bits of counters
+    [start, start + out.size) of the stream at ``state``: out[k] is
+    uniform01(key, start + k) < p, given threshold = _threshold(p).
 
-    Exact: for the integer k = bits >> 11, k * 2^-53 < p iff k < p * 2^53 iff
-    k < ceil(p * 2^53), and p * 2^53 is exact as it scales by a power of two.
-    splitmix64 runs in place on one uint64 block, wrapping mod 2^64.
+    Exact: write bits = k * 2^11 + r with k = bits >> 11 and 0 <= r < 2^11.
+    Then k * 2^-53 < p iff k < p * 2^53 (exact, as it scales by a power of
+    two) iff k < T = ceil(p * 2^53) iff bits < T * 2^11, so the raw bits are
+    compared without the shift.  T * 2^11 fits in 64 bits unless T = 2^53,
+    i.e. p = 1, where every bit is open.
+
+    splitmix64 runs ``_BLOCK`` counters at a time, in place on one uint64
+    work block and one shift temporary, wrapping mod 2^64: the block at
+    counter s starts from _STEPS + (state + s * GAMMA), and the offset grows
+    by _BLOCK * GAMMA per block.
     """
-    x = np.arange(start, start + count, dtype=np.uint64)
-    x *= np.uint64(_GAMMA)
-    x += np.uint64(state)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX_A)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX_B)
-    x ^= x >> np.uint64(31)
-    x >>= np.uint64(11)
-    return x < np.uint64(threshold)
+    if threshold == 1 << 53:
+        out[:] = True
+        return
+    limit = np.uint64(threshold << 11)
+    work = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
+    tmp = np.empty_like(work)
+    offset = (state + start * _GAMMA) & _M64
+    for lo in range(0, out.size, _BLOCK):
+        dst = out[lo:lo + _BLOCK]
+        x, t = work[:dst.size], tmp[:dst.size]
+        np.add(_STEPS[:dst.size], np.uint64(offset), out=x)
+        np.right_shift(x, _U30, out=t)
+        x ^= t
+        x *= _U_MIX_A
+        np.right_shift(x, _U27, out=t)
+        x ^= t
+        x *= _U_MIX_B
+        np.right_shift(x, _U31, out=t)
+        x ^= t
+        np.less(x, limit, out=dst)
+        offset = (offset + _BLOCK_STEP) & _M64
 
 
 @dataclass(frozen=True)
@@ -137,12 +161,28 @@ def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
     """Draw Q^d_p: edge e is open iff uniform01(key, e) < p, decided by
     ``_open_bits`` one ``_BLOCK`` of counters at a time, so the uint64
     working block stays in cache."""
-    threshold, state = _threshold(p), _stream_state(key)
     mask = np.empty(g.m, dtype=bool)
-    for start in range(0, g.m, _BLOCK):
-        block = mask[start:start + _BLOCK]
-        block[:] = _open_bits(state, start, block.size, threshold)
+    _open_bits(_stream_state(key), 0, _threshold(p), mask)
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
+
+
+def sample_directions(g, key: SampleKey, p: float):
+    """The draw of ``sample_edges`` one direction at a time, without the
+    m-length mask: yields, for i = 0..d-1, the bool array whose entry k is
+    whether edge i * 2^(d-1) + k is open.
+
+    Each item is a view into one reused buffer, valid until the next item.
+    The buffer holds one direction's 2^(d-1) counters, or all m of them when
+    2^(d-1) < _BLOCK, so that every ``_open_bits`` call fills whole blocks.
+    """
+    threshold, state = _threshold(p), _stream_state(key)
+    half = 1 << (g.d - 1)
+    span = half if half >= _BLOCK else g.m
+    buf = np.empty(span, dtype=bool)
+    for start in range(0, g.m, span):
+        _open_bits(state, start, threshold, buf)
+        for lo in range(0, span, half):
+            yield buf[lo:lo + half]
 
 
 @dataclass(frozen=True)
@@ -187,7 +227,9 @@ class BitStream:
         # a spent block ends exactly at counter ``consumed``
         pos = self._pos
         if pos >= _BLOCK:
-            self._buf = _open_bits(self._state, self.consumed, _BLOCK, self._threshold).tobytes()
+            block = np.empty(_BLOCK, dtype=bool)
+            _open_bits(self._state, self.consumed, self._threshold, block)
+            self._buf = block.tobytes()
             pos = 0
         self._pos = pos + 1
         self.consumed += 1

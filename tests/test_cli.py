@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -45,6 +46,14 @@ def test_theory_rejects_nonpositive_d(capsys, d, extra):
     assert "--d" in err
 
 
+@pytest.mark.parametrize("c,d", [("5", "4"), ("2", "1")])
+def test_theory_rejects_c_beyond_d(capsys, c, d):
+    code, out, err = _run(capsys, "theory", "--c", c, "--d", d)
+    assert code == 1
+    assert out == ""
+    assert "--c" in err and "--d" in err
+
+
 def test_theory_no_flags(capsys):
     code, _, _ = _run(capsys, "theory")
     assert code == 1
@@ -76,6 +85,14 @@ def test_sim_capacity_exit(capsys):
     code, _, err = _run(capsys, "sim", "--d", "31", "--p", "0.5")
     assert code == 2
     assert "capacity" in err
+
+
+def test_sim_summary_reports_wall_time_and_peak_rss(capsys):
+    code, _, err = _run(capsys, "sim", "--d", "6", "--p", "0.3")
+    assert code == 0
+    summary = err.splitlines()[0]
+    assert re.fullmatch(r"Q\^6 at p=0\.3: l1=\d+ l2=\d+ components=\d+ wall=\d+\.\d\ds peak_rss=\d+MB", summary)
+    assert int(summary.rsplit("peak_rss=", 1)[1][:-2]) > 0
 
 
 def test_sim_histogram(capsys, tmp_path):

@@ -9,6 +9,7 @@ from cubeperc.components import (
     distance_to_set,
     explore_component,
     label_components,
+    label_sample,
     size_gap_count,
     w_set,
     write_histogram_csv,
@@ -116,6 +117,78 @@ def test_label_matches_transitive_closure_exhaustively(d):
 def test_label_matches_closure_on_keyed_masks(d, seed, p):
     g = CubeGraph(d)
     _assert_matches_closure(g, sample_edges(g, SampleKey(seed), p).open_mask)
+
+
+def _distance_reference(g, members):
+    # the BFS as first written: one bool per vertex, each flip a reversed view
+    def flip(arr, i):
+        return arr.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(arr.shape)
+
+    dist = np.full(g.n, -1, dtype=np.int32)
+    dist[members] = 0
+    frontier, level = members, 0
+    while True:
+        nbr = np.zeros(g.n, dtype=bool)
+        for i in range(g.d):
+            nbr |= flip(frontier, i)
+        frontier = nbr & (dist < 0)
+        if not frontier.any():
+            return dist, int(dist.max())
+        level += 1
+        dist[frontier] = level
+
+
+def _labeling_fields(lab, threshold, g):
+    members = w_set(lab, threshold).members
+    max_dist = distance_to_set(g, members)[1] if members.any() else -1
+    return (
+        lab.labels.tolist(),
+        lab.vertex_component_size.tolist(),
+        lab.component_sizes.tolist(),
+        lab.l1,
+        lab.l2,
+        lab.n_components,
+        lab.open_edges,
+        members.tolist(),
+        max_dist,
+    )
+
+
+@given(
+    st.integers(1, 13),  # 2^(d-1) < _BLOCK: one sampling buffer holds every direction
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_label_sample_matches_adapter_and_oracle(d, seed, p, data):
+    # the streamed trial path against label_components(sample_edges) and,
+    # where the n x n closure fits, the closure oracle
+    g = CubeGraph(d)
+    key = SampleKey(seed, data.draw(st.integers(0, 2**32 - 1), label="trial"))
+    threshold = data.draw(st.integers(1, g.n), label="threshold")
+    sample = sample_edges(g, key, p)
+    streamed = _labeling_fields(label_sample(g, key, p), threshold, g)
+    assert streamed == _labeling_fields(label_components(g, sample), threshold, g)
+    assert streamed[6] == sample.open_count
+    if d <= 7:
+        oracle = _closure_components(g, sample.open_mask)
+        sizes = Counter(oracle.tolist())
+        members = np.array([sizes[x] >= threshold for x in oracle.tolist()])
+        assert streamed[0] == oracle.tolist()
+        assert streamed[2] == [sizes[x] for x in sorted(sizes)]
+        assert streamed[7] == members.tolist()
+        assert streamed[8] == (_distance_reference(g, members)[1] if members.any() else -1)
+
+
+@pytest.mark.parametrize("d", [14, 15])  # one buffer per direction, one and two blocks each
+def test_label_sample_matches_adapter_per_direction(d):
+    g = CubeGraph(d)
+    for trial, p in enumerate((0.0, 1.0, 2 / d, 1.2 / d)):
+        key = SampleKey(99, trial)
+        assert _labeling_fields(label_sample(g, key, p), d * d, g) == _labeling_fields(
+            label_components(g, sample_edges(g, key, p)), d * d, g
+        )
 
 
 def test_label_gray_code_hamiltonian_path():
@@ -344,6 +417,23 @@ def test_distance_empty_set_rejected():
 def test_distance_takes_only_a_full_boolean_mask(members):
     with pytest.raises(ValueError):
         distance_to_set(CubeGraph(3), members)
+
+
+@pytest.mark.parametrize("d", range(1, 11))  # d < 6 pads the single word
+def test_distance_matches_bool_reference(d):
+    g = CubeGraph(d)
+    rng = np.random.default_rng(d)
+    masks = [np.arange(g.n) == int(rng.integers(g.n)), np.ones(g.n, dtype=bool)]
+    for density in (0.01, 0.1, 0.5):
+        mask = rng.random(g.n) < density
+        mask[int(rng.integers(g.n))] = True
+        masks.append(mask)
+    for members in masks:
+        dist, mx = distance_to_set(g, members)
+        ref, ref_mx = _distance_reference(g, members)
+        assert dist.dtype == np.int32
+        assert np.array_equal(dist, ref)
+        assert mx == ref_mx
 
 
 def test_distance_w_set_typical_trial():

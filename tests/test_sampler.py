@@ -8,10 +8,17 @@ from hypothesis import given, settings, strategies as st
 from cubeperc.hypercube import CubeGraph
 from cubeperc.sampler import (
     _BLOCK,
+    _GAMMA,
+    _M64,
     BitStream,
     EdgeKeyedBitSource,
     SampleKey,
+    _mix64,
+    _open_bits,
+    _stream_state,
+    _threshold,
     read_sample,
+    sample_directions,
     sample_edges,
     split_probability,
     uniform01,
@@ -112,6 +119,48 @@ def test_sample_edges_block_boundaries(d):
     for p in (0.5, 0.1, uniform01(key, _BLOCK)):
         mask = sample_edges(g, key, p).open_mask
         assert [bool(mask[e]) for e in edges] == [uniform01(key, e) < p for e in edges]
+
+
+@pytest.mark.parametrize("start,count", [(0, 1), (5, 3 * _BLOCK + 7), (2**40 - 3, _BLOCK + 1)])
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.3])
+def test_open_bits_fills_any_window(start, count, p):
+    # p = 1 is the 2^64 limit the raw comparison cannot hold; windows start
+    # off a block boundary and span a partial last block
+    key = SampleKey(2**63 + 9, 4, 1)
+    out = np.empty(count, dtype=bool)
+    _open_bits(_stream_state(key), start, _threshold(p), out)
+    counters = sorted({0, 1, _BLOCK - 1, _BLOCK, count - 1} & set(range(count)))
+    assert [bool(out[k]) for k in counters] == [uniform01(key, start + k) < p for k in counters]
+    if p in (0.0, 1.0):
+        assert out.all() == (p == 1.0) and out.any() == (p == 1.0)
+
+
+def test_open_bits_at_a_tie_of_the_raw_bits():
+    # a counter whose low 11 bits are 0 and p = k / 2^53 for its k = bits >> 11:
+    # the raw bits equal threshold << 11 exactly, so the bit is closed, and
+    # opens at the next float above p
+    key = SampleKey(12345, 6, 0)
+    state = _stream_state(key)
+    e = next(e for e in range(1 << 16) if _mix64((state + e * _GAMMA) & _M64) & 0x7FF == 0)
+    p = (_mix64((state + e * _GAMMA) & _M64) >> 11) / 2**53
+    g = CubeGraph(11)
+    assert e < g.m
+    for q, is_open in ((p, False), (math.nextafter(p, 1.0), True)):
+        assert (uniform01(key, e) < q) == is_open
+        out = np.empty(1, dtype=bool)
+        _open_bits(state, e, _threshold(q), out)
+        assert out[0] == is_open
+        assert sample_edges(g, key, q).open_mask[e] == is_open
+
+
+@pytest.mark.parametrize("d", [1, 2, 13, 14, 15])  # one buffer of all m counters below d = 14
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.2])
+def test_sample_directions_split_the_edge_mask(d, p):
+    g = CubeGraph(d)
+    key = SampleKey(2**33 + 1, 7, 2)
+    rows = [mask.copy() for mask in sample_directions(g, key, p)]
+    assert len(rows) == d and all(row.shape == (1 << (d - 1),) for row in rows)
+    assert np.array_equal(np.concatenate(rows), sample_edges(g, key, p).open_mask)
 
 
 def test_key_validation():
