@@ -16,7 +16,7 @@ import time
 from dataclasses import fields
 
 from . import theory
-from .components import label_sample, write_histogram_csv
+from .components import label_sample, thread_count, write_histogram_csv
 from .errors import CapacityError, ConfigError
 from .experiments import (
     ExperimentConfig,
@@ -93,7 +93,7 @@ def cmd_sim(args) -> int:
     g = CubeGraph(args.d)
     if not 0.0 <= args.p <= 1.0:
         raise ConfigError(f"--p must lie in [0, 1], got {args.p}")
-    labeling = label_sample(g, SampleKey(args.seed, args.trial, 0), args.p)
+    labeling = label_sample(g, SampleKey(args.seed, args.trial, 0), args.p, thread_count(args.d))
     print(
         f"Q^{args.d} at p={args.p}: l1={labeling.l1} l2={labeling.l2} "
         f"components={labeling.n_components} "

@@ -6,18 +6,28 @@ the open edges one direction at a time, as int32 base endpoints, so a trial
 never holds the m-length edge mask (``label_sample``).  Local structure is
 probed by a capped BFS exploration that consumes one random bit per edge,
 and distances to a vertex set run as a BFS on bit-packed frontiers.
+
+A labeling may run on several threads (``thread_count`` picks how many);
+numpy releases the interpreter lock inside its kernels.  The sampling splits
+by consecutive ranges of directions, one buffer per thread, and each pointer
+jump and each relabel of the label pairs by consecutive index ranges of at
+most ``_TASK`` entries, joined in order.  The counters are keyed and the
+labels canonical, so no bit and no label depends on the split.  The hooks
+(np.minimum.at), the final sort and the statistics run on one thread.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .hypercube import CubeGraph, direction_bases
-from .sampler import EdgeSample, SampleKey, sample_directions
+from .sampler import _PASS, EdgeSample, SampleKey, sample_directions
 
 
 @dataclass
@@ -53,7 +63,64 @@ class ComponentLabeling:
         return sizes[self._vertex_labels]
 
 
-def label_bases(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
+def thread_count(d: int, processes: int = 1) -> int:
+    """Threads for one labeling of Q^d while ``processes`` trials run side
+    by side: the CPUs left to each process, ``os.cpu_count() // processes``,
+    or 1 when one direction's 2^(d-1) counters are fewer than one sampling
+    pass, where a trial is too short for threads to pay."""
+    if 1 << (d - 1) < _PASS:
+        return 1
+    return max(1, (os.cpu_count() or 1) // processes)
+
+
+def _thread_pool(threads: int):
+    # a pool of ``threads`` threads, or None for one thread, so that a
+    # serial call starts no thread and imports no concurrent.futures; the
+    # caller shuts the pool down, which joins its threads
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    if threads == 1:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def _split(n: int, parts: int) -> list[slice]:
+    """[0, n) as at most ``parts`` consecutive, disjoint, nonempty slices of
+    near-equal length, in order; one empty slice when n = 0."""
+    parts = max(1, min(parts, n))
+    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+# The longest index range that one pool task gathers over.  Tasks of a
+# quarter million entries keep a thread in native code for about a
+# millisecond and the intp copy that np.take makes of their index at 2 MB;
+# the pool hands them out to whichever thread is free.  The gathers are
+# np.take in clip mode, which every label, a vertex, leaves alone: it skips
+# the per-index check and gathers ~1.5x faster than f[idx].
+_TASK = 1 << 18
+
+
+def _tasks(n: int, threads: int) -> list[slice]:
+    return _split(n, max(threads, -(-n // _TASK)))
+
+
+def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
+    # one pointer jump over a vertex range: out[s] = f[f[s]], reading only f
+    # and writing only out[s]; returns how many labels moved
+    np.take(f, f[s], out=out[s], mode="clip")
+    return int(np.count_nonzero(out[s] != f[s]))
+
+
+def _relabel_range(f: np.ndarray, lu: np.ndarray, lv: np.ndarray, s: slice) -> tuple[np.ndarray, np.ndarray]:
+    # the label pairs of a pair range after a jump, less those now joined
+    lu, lv = np.take(f, lu[s], mode="clip"), np.take(f, lv[s], mode="clip")
+    differ = lu != lv
+    return lu[differ], lv[differ]
+
+
+def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> ComponentLabeling:
     """Label every vertex of Q^d with its component under the open edges
     given per direction: ``bases[i]`` holds the int32 base endpoints u of
     the open edges (u, u | 2^i), as ``direction_bases`` gives them.
@@ -79,31 +146,59 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
     moves off itself.  When the loop ends every open edge joins equal
     labels, so each component has exactly one root, and that root is its
     minimum.  The component sizes are counted from the sorted labels.
+
+    With ``threads`` > 1 the gathers run on a thread pool over disjoint
+    index ranges, and the result is the same to the byte.  A jump writes
+    nxt[a:b] = f[f[a:b]] for consecutive vertex ranges into an array that no
+    thread reads, and swaps the two arrays only after every range is done,
+    so it is the serial f[f] in pieces.  The relabel and the filter of the
+    unjoined pairs run per consecutive pair range and are joined in range
+    order, so the pairs keep their serial order.  The hooks, the final sort
+    and the statistics stay on one thread: np.minimum.at writes shared f.
     """
-    f = np.arange(g.n, dtype=np.int32)
-    open_edges = 0
-    for i, u in enumerate(bases):
-        f[u | (1 << i)] = u
-        open_edges += u.size
-    lu = None
-    while True:
-        # jump inline, so that each step frees the array it replaces; f[f]
-        # reads the int32 indices as they are, where take copies them to intp
-        nxt = f[f]
-        while np.count_nonzero(nxt != f):
-            f, nxt = nxt, nxt[nxt]
-        del nxt
-        if lu is None:  # first round: the endpoints of every open edge
-            lv = np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
-            lu = np.concatenate(bases)
-            del bases  # the only reference when the caller passes a fresh list
-        lu = f[lu]  # one at a time, so that at most three pair arrays are held
-        lv = f[lv]
-        differ = lu != lv
-        lu, lv = lu[differ], lv[differ]
-        if not lu.size:
-            break
-        np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
+    pool = _thread_pool(threads)
+    try:
+        f = np.arange(g.n, dtype=np.int32)
+        open_edges = 0
+        for i, u in enumerate(bases):
+            f[u | (1 << i)] = u
+            open_edges += u.size
+        lu = None
+        while True:
+            if pool is None:
+                # jump inline, so that each step frees the array it replaces;
+                # f[f] reads the int32 indices as they are, where np.take
+                # would copy all n of them to intp
+                nxt = f[f]
+                while np.count_nonzero(nxt != f):
+                    f, nxt = nxt, nxt[nxt]
+            else:
+                nxt = np.empty_like(f)
+                jump = _tasks(g.n, threads)
+                while sum(pool.map(partial(_jump_range, f, nxt), jump)):
+                    f, nxt = nxt, f
+            del nxt
+            if lu is None:  # first round: the endpoints of every open edge
+                lv = np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
+                lu = np.concatenate(bases)
+                del bases  # the only reference when the caller passes a fresh list
+            if pool is None:
+                lu = f[lu]  # one at a time, so that at most three pair arrays are held
+                lv = f[lv]
+                differ = lu != lv
+                lu, lv = lu[differ], lv[differ]
+            else:
+                parts = list(pool.map(partial(_relabel_range, f, lu, lv), _tasks(lu.size, threads)))
+                del lu, lv
+                lu = np.concatenate([x for x, _ in parts])
+                lv = np.concatenate([y for _, y in parts])
+                del parts
+            if not lu.size:
+                break
+            np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     # on the giant-dominated labels of a supercritical draw the sort beats
     # bincount, and it needs no intp copy of f or n-length int64 counts
     ordered = f.copy()
@@ -133,11 +228,30 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     return label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
 
 
-def label_sample(g: CubeGraph, key: SampleKey, p: float) -> ComponentLabeling:
+def per_direction(share: Callable[[range], list], d: int, threads: int = 1) -> list:
+    """``share(range(d))`` on ``threads`` threads: each thread calls
+    ``share`` on a consecutive range of directions, and the lists it returns,
+    one item per direction, are joined in direction order."""
+    pool = _thread_pool(threads)
+    if pool is None:
+        return share(range(d))
+    with pool:
+        ranges = [range(s.start, s.stop) for s in _split(d, threads)]
+        return [item for part in pool.map(share, ranges) for item in part]
+
+
+def _sample_bases(g: CubeGraph, key: SampleKey, p: float, directions: range) -> list[np.ndarray]:
+    # the open base endpoints of a range of directions, sampled into its own buffer
+    return [direction_bases(mask, i) for i, mask in zip(directions, sample_directions(g, key, p, directions))]
+
+
+def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> ComponentLabeling:
     """``label_components(g, sample_edges(g, key, p))``, streamed: each
     direction is sampled into one reused buffer and kept only as its open
-    base endpoints."""
-    return label_bases(g, [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p))])
+    base endpoints.  With ``threads`` > 1, each thread samples its own range
+    of directions (the counters are keyed, so the split moves no bit), and
+    ``label_bases`` runs on as many threads."""
+    return label_bases(g, per_direction(partial(_sample_bases, g, key, p), g.d, threads), threads)
 
 
 @dataclass(frozen=True)

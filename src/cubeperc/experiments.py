@@ -16,12 +16,22 @@ import json
 import math
 import statistics
 from dataclasses import MISSING, Field, dataclass, field, fields
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import theory
-from .components import distance_to_set, explore_component, label_bases, label_sample, size_gap_count, w_set
+from .components import (
+    distance_to_set,
+    explore_component,
+    label_bases,
+    label_sample,
+    per_direction,
+    size_gap_count,
+    thread_count,
+    w_set,
+)
 from .errors import CapacityError, ConfigError
 from .hypercube import MAX_DIMENSION, CubeGraph, direction_bases
 from .sampler import BitStream, SampleKey, sample_directions, split_probability
@@ -46,13 +56,14 @@ def _r12(x):
 
 # ---------------------------------------------------------------------------
 # per-trial workers (module level so process pools can pickle them); each
-# takes (seed, trial, *params) with the params from its kind's theory block
+# takes (seed, trial, *params) with the params from its kind's theory block,
+# and those that label the whole cube take the number of threads to use
 
 
-def _supercritical_trial(args) -> dict:
+def _supercritical_trial(args, threads: int = 1) -> dict:
     seed, trial, d, p, w_threshold, gap_lo, gap_hi = args
     g = CubeGraph(d)
-    labeling = label_sample(g, SampleKey(seed, trial, 0), p)
+    labeling = label_sample(g, SampleKey(seed, trial, 0), p, threads)
     w = w_set(labeling, w_threshold)
     if w.members.any():
         _, max_dist = distance_to_set(g, w.members)
@@ -69,9 +80,9 @@ def _supercritical_trial(args) -> dict:
     }
 
 
-def _subcritical_trial(args) -> dict:
+def _subcritical_trial(args, threads: int = 1) -> dict:
     seed, trial, d, p, bound = args
-    labeling = label_sample(CubeGraph(d), SampleKey(seed, trial, 0), p)
+    labeling = label_sample(CubeGraph(d), SampleKey(seed, trial, 0), p, threads)
     return {
         "trial": trial,
         "l1": labeling.l1,
@@ -81,20 +92,24 @@ def _subcritical_trial(args) -> dict:
     }
 
 
-def _sprinkling_trial(args) -> dict:
+def _sprinkled_bases(g, seed, trial, p1, p2, directions) -> list[tuple]:
+    # per direction of the range, the open base endpoints of round 1 and of
+    # the union of both rounds
+    rounds = zip(
+        directions,
+        sample_directions(g, SampleKey(seed, trial, 1), p1, directions),
+        sample_directions(g, SampleKey(seed, trial, 2), p2, directions),
+    )
+    # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p
+    return [(direction_bases(open1, i), direction_bases(open1 | open2, i)) for i, open1, open2 in rounds]
+
+
+def _sprinkling_trial(args, threads: int = 1) -> dict:
     seed, trial, d, p1, p2, w_threshold = args
     g = CubeGraph(d)
-    rounds = zip(
-        sample_directions(g, SampleKey(seed, trial, 1), p1),
-        sample_directions(g, SampleKey(seed, trial, 2), p2),
-    )
-    bases1, bases_u = [], []
-    for i, (open1, open2) in enumerate(rounds):
-        bases1.append(direction_bases(open1, i))
-        # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p
-        bases_u.append(direction_bases(open1 | open2, i))
-    labeling1 = label_bases(g, bases1)
-    labeling_u = label_bases(g, bases_u)
+    bases = per_direction(partial(_sprinkled_bases, g, seed, trial, p1, p2), d, threads)
+    labeling1 = label_bases(g, [b1 for b1, _ in bases], threads)
+    labeling_u = label_bases(g, [bu for _, bu in bases], threads)
     w1 = w_set(labeling1, w_threshold)
     w1_size = int(np.count_nonzero(w1.members))
     w1_components = int(np.count_nonzero(labeling1.component_sizes >= w_threshold))
@@ -279,7 +294,8 @@ def _hitprob_aggregate(cfg: ExperimentConfig, rows) -> dict:
 class Kind(NamedTuple):
     """One experiment kind: the config field that sets its edge probability
     and that field's domain, the per-trial worker, the theory block and the
-    aggregate; whether its trials build Q^d (``cube``) and read ``w_threshold``."""
+    aggregate; whether its trials build Q^d (``cube``), read ``w_threshold``
+    and label the whole cube (``labels``: the worker takes ``threads``)."""
 
     param: str
     domain: str
@@ -289,17 +305,19 @@ class Kind(NamedTuple):
     aggregate: Callable[[ExperimentConfig, list], dict]
     cube: bool
     w_threshold: bool
+    labels: bool
 
 
 _EXCEED_1 = ("c", "exceed 1", lambda c: c > 1.0)
 
 KINDS = {
-    "supercritical": Kind(*_EXCEED_1, _supercritical_trial, _supercritical_theory, _supercritical_aggregate, True, True),
+    "supercritical": Kind(*_EXCEED_1, _supercritical_trial, _supercritical_theory, _supercritical_aggregate,
+                          True, True, True),
     "subcritical": Kind("eps", "lie in (0, 1)", lambda e: 0.0 < e < 1.0,
-                        _subcritical_trial, _subcritical_theory, _subcritical_aggregate, True, False),
-    "sprinkling": Kind(*_EXCEED_1, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate, True, True),
-    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate, False, False),
-    "hitprob": Kind(*_EXCEED_1, _hitprob_trial, _hitprob_theory, _hitprob_aggregate, True, True),
+                        _subcritical_trial, _subcritical_theory, _subcritical_aggregate, True, False, True),
+    "sprinkling": Kind(*_EXCEED_1, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate, True, True, True),
+    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate, False, False, False),
+    "hitprob": Kind(*_EXCEED_1, _hitprob_trial, _hitprob_theory, _hitprob_aggregate, True, True, False),
 }
 
 
@@ -513,16 +531,22 @@ def _map_trials(fn, args_list, workers, on_trial):
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
     """Run the config's trials, on at most ``min(workers, trials)`` processes.
+    A trial that labels the whole cube runs on the CPUs each process leaves
+    (``thread_count``).
 
     Rows depend only on (seed, trial), so the report bytes do not depend on
-    ``workers``.  ``on_trial(done, total)`` is called as trials complete.
+    ``workers`` or on the thread count.  ``on_trial(done, total)`` is called
+    as trials complete.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     spec = KINDS[cfg.kind]
     block, params = spec.theory(cfg)
     args = [(cfg.seed, t, *params) for t in range(cfg.trials)]
-    rows = _map_trials(spec.trial, args, min(workers, cfg.trials), on_trial)
+    processes = min(workers, cfg.trials)
+    threads = thread_count(cfg.d, processes) if spec.labels else 1
+    trial = partial(spec.trial, threads=threads) if threads > 1 else spec.trial
+    rows = _map_trials(trial, args, processes, on_trial)
     return ExperimentReport(cfg.echo(), block, rows, spec.aggregate(cfg, rows))
 
 

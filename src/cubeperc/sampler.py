@@ -23,6 +23,13 @@ The top 53 bits are used so the result is exactly representable and lies in
 [0, 1); an edge e is open iff uniform01(key, e) < p, which ``_open_bits``
 decides exactly in integers.  For a fixed key the output is splitmix64
 seeded at ``state``, i.e. a bijection of the counter.
+
+Since every bit is a function of its counter alone, any split of the
+counters samples the same draw: ``sample_directions`` over disjoint ranges
+of directions may run on threads side by side.  ``_open_bits`` runs its
+windows in passes: ``_BLOCK`` = 8192 counters, ``BitStream``'s block, for a
+window of at most one block, and ``_PASS`` = 32768 for a longer one, long
+enough per numpy call for two threads to overlap.
 """
 
 from __future__ import annotations
@@ -41,10 +48,12 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TO_UNIT = 2.0**-53
-_BLOCK = 8192  # counters per splitmix64 pass in _open_bits; BitStream's block
+_BLOCK = 8192  # BitStream's block; the splitmix64 pass of windows up to one block
 _BLOCK_STEP = (_BLOCK * _GAMMA) & _M64
 _STEPS = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GAMMA)  # c * GAMMA mod 2^64
 _STEPS.setflags(write=False)
+_PASS = 32768  # the splitmix64 pass of longer windows, with a step table built per call
+_PASS_STEP = (_PASS * _GAMMA) & _M64
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
@@ -111,22 +120,33 @@ def _open_bits(state: int, start: int, threshold: int, out: np.ndarray) -> None:
     compared without the shift.  T * 2^11 fits in 64 bits unless T = 2^53,
     i.e. p = 1, where every bit is open.
 
-    splitmix64 runs ``_BLOCK`` counters at a time, in place on one uint64
-    work block and one shift temporary, wrapping mod 2^64: the block at
-    counter s starts from _STEPS + (state + s * GAMMA), and the offset grows
-    by _BLOCK * GAMMA per block.
+    splitmix64 runs one pass of counters at a time, in place on one uint64
+    work block and one shift temporary, wrapping mod 2^64: the pass at
+    counter s starts from steps + (state + s * GAMMA), where steps[c] =
+    c * GAMMA, and the offset grows by the pass length times GAMMA.  A window
+    of at most ``_BLOCK`` counters (every ``BitStream`` block) runs in one
+    pass on the import-time ``_STEPS``.  A longer window runs in ``_PASS``
+    steps on a table built for the call: each numpy call then works long
+    enough that threads sampling other windows overlap it, which 8192-counter
+    passes are too short for.
     """
     if threshold == 1 << 53:
         out[:] = True
         return
     limit = np.uint64(threshold << 11)
-    work = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
+    if out.size > _BLOCK:
+        length, stride = _PASS, _PASS_STEP
+        steps = np.arange(min(out.size, _PASS), dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+    else:
+        length, stride, steps = _BLOCK, _BLOCK_STEP, _STEPS
+    work = np.empty(min(out.size, length), dtype=np.uint64)
     tmp = np.empty_like(work)
     offset = (state + start * _GAMMA) & _M64
-    for lo in range(0, out.size, _BLOCK):
-        dst = out[lo:lo + _BLOCK]
+    for lo in range(0, out.size, length):
+        dst = out[lo:lo + length]
         x, t = work[:dst.size], tmp[:dst.size]
-        np.add(_STEPS[:dst.size], np.uint64(offset), out=x)
+        np.add(steps[:dst.size], np.uint64(offset), out=x)
         np.right_shift(x, _U30, out=t)
         x ^= t
         x *= _U_MIX_A
@@ -136,7 +156,7 @@ def _open_bits(state: int, start: int, threshold: int, out: np.ndarray) -> None:
         np.right_shift(x, _U31, out=t)
         x ^= t
         np.less(x, limit, out=dst)
-        offset = (offset + _BLOCK_STEP) & _M64
+        offset = (offset + stride) & _M64
 
 
 @dataclass(frozen=True)
@@ -166,20 +186,26 @@ def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
 
 
-def sample_directions(g, key: SampleKey, p: float):
+def sample_directions(g, key: SampleKey, p: float, directions: range | None = None):
     """The draw of ``sample_edges`` one direction at a time, without the
-    m-length mask: yields, for i = 0..d-1, the bool array whose entry k is
-    whether edge i * 2^(d-1) + k is open.
+    m-length mask: yields, for each i of ``directions`` (consecutive, all d
+    by default), the bool array whose entry k is whether edge
+    i * 2^(d-1) + k is open.
 
     Each item is a view into one reused buffer, valid until the next item.
-    The buffer holds one direction's 2^(d-1) counters, or all m of them when
-    2^(d-1) < _BLOCK, so that every ``_open_bits`` call fills whole blocks.
+    The buffer holds one direction's 2^(d-1) counters, or those of every
+    direction asked for when 2^(d-1) < _BLOCK, so that every ``_open_bits``
+    call fills whole blocks.  Calls over disjoint ranges of directions share
+    nothing, so threads may sample them side by side.
     """
+    directions = range(g.d) if directions is None else directions
+    if not directions:
+        return
     threshold, state = _threshold(p), _stream_state(key)
     half = 1 << (g.d - 1)
-    span = half if half >= _BLOCK else g.m
+    span = half if half >= _BLOCK else half * len(directions)
     buf = np.empty(span, dtype=bool)
-    for start in range(0, g.m, span):
+    for start in range(directions.start * half, directions.stop * half, span):
         _open_bits(state, start, threshold, buf)
         for lo in range(0, span, half):
             yield buf[lo:lo + half]

@@ -127,6 +127,20 @@ def test_golden_sim_bytes(capsys, tmp_path, argv, out_sha, hist_sha):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == hist_sha
 
 
+@pytest.mark.parametrize("cpus,d,threads", [(2, 16, 2), (3, 16, 3), (2, 15, 1)])
+def test_sim_labels_on_every_cpu(capsys, monkeypatch, cpus, d, threads):
+    import cubeperc.cli as cli_module
+
+    seen = []
+    real = cli_module.label_sample
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli_module, "label_sample", lambda *a: seen.append(a[-1]) or real(*a))
+    code, out, _ = _run(capsys, "sim", "--d", str(d), "--p", "0.1")
+    assert code == 0 and seen == [threads]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _run(capsys, "sim", "--d", str(d), "--p", "0.1")[1] == out
+
+
 def test_sim_bad_p(capsys):
     code, _, _ = _run(capsys, "sim", "--d", "4", "--p", "1.5")
     assert code == 1

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter, deque
 
 import numpy as np
@@ -5,17 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeperc.components import (
+    _TASK,
     ExplorationResult,
+    _split,
+    _tasks,
     distance_to_set,
     explore_component,
+    label_bases,
     label_components,
     label_sample,
     size_gap_count,
     w_set,
     write_histogram_csv,
 )
-from cubeperc.experiments import ExperimentConfig, run_experiment
-from cubeperc.hypercube import CubeGraph, EdgeRef, edge_endpoint_arrays, edge_index, export_adjacency
+from cubeperc.experiments import ExperimentConfig, _sprinkling_trial, run_experiment
+from cubeperc.hypercube import CubeGraph, EdgeRef, direction_bases, edge_endpoint_arrays, edge_index, export_adjacency
 from cubeperc.sampler import BitStream, EdgeKeyedBitSource, SampleKey, sample_edges
 
 
@@ -189,6 +195,125 @@ def test_label_sample_matches_adapter_per_direction(d):
         assert _labeling_fields(label_sample(g, key, p), d * d, g) == _labeling_fields(
             label_components(g, sample_edges(g, key, p)), d * d, g
         )
+
+
+def _all_fields(lab):
+    # every ComponentLabeling field, the per-vertex forms included
+    return (
+        lab.l1,
+        lab.l2,
+        lab.component_sizes.tolist(),
+        lab.n_components,
+        lab.open_edges,
+        lab._vertex_labels.tolist(),
+        lab._component_labels.tolist(),
+        lab.labels.tolist(),
+        lab.vertex_component_size.tolist(),
+    )
+
+
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_label_bases_equal_across_thread_counts(d, seed, p):
+    # uneven splits of the vertex and pair ranges give the serial labeling
+    # to the field, and that labeling is the closure oracle's
+    g = CubeGraph(d)
+    mask = sample_edges(g, SampleKey(seed), p).open_mask
+    bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
+    serial = _all_fields(label_bases(g, bases))
+    assert serial[7] == _closure_components(g, mask).tolist()
+    for threads in (2, 3, 5):
+        assert _all_fields(label_bases(g, bases, threads)) == serial
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("d", [17, 18])
+def test_label_sample_equal_across_thread_counts(d, threads):
+    # a direction's counters fill whole sampling passes, and the jumps and
+    # relabels split into several pool tasks at d = 18
+    g = CubeGraph(d)
+    key = SampleKey(2**50 + 1, d)
+    expected = _labeling_fields(label_components(g, sample_edges(g, key, 2 / d)), d * d, g)
+    assert _labeling_fields(label_sample(g, key, 2 / d), d * d, g) == expected
+    assert _labeling_fields(label_sample(g, key, 2 / d, threads), d * d, g) == expected
+
+
+def test_threads_under_a_short_switch_interval():
+    # more threads than cores, switching every microsecond: the labels stay
+    # the serial ones, the call finishes within its bound, and no thread of
+    # its pools outlives it
+    g = CubeGraph(17)
+    key = SampleKey(4, 4)
+    expected = label_sample(g, key, 2 / 17).labels
+    before = threading.active_count()
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: result.append(label_sample(g, key, 2 / 17, 4)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert threading.active_count() == before
+    assert np.array_equal(result[0].labels, expected)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True, None])
+def test_label_rejects_a_bad_thread_count(threads):
+    g = CubeGraph(4)
+    with pytest.raises(ValueError, match="threads"):
+        label_sample(g, SampleKey(0), 0.5, threads)
+
+
+def test_split_covers_in_order():
+    # consecutive, disjoint, nonempty, near-equal ranges that cover [0, n)
+    for n in (0, 1, 2, 7, 64, 1000):
+        for parts in (1, 2, 3, 5, 8, 2000):
+            slices = _split(n, parts)
+            assert 1 <= len(slices) <= max(1, min(parts, n))
+            assert slices[0].start == 0 and slices[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+            lengths = [s.stop - s.start for s in slices]
+            assert n == 0 or min(lengths) >= 1
+            assert max(lengths) - min(lengths) <= 1
+    for n in (_TASK - 1, _TASK, 5 * _TASK + 3):
+        slices = _tasks(n, 2)
+        assert slices[-1].stop == n and all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        assert len(slices) >= 2 and all(s.stop - s.start <= _TASK for s in slices)
+
+
+def test_jump_ranges_partition_the_vertices(monkeypatch):
+    # every jump step hands the pool the same ranges, and they partition
+    # [0, n): an overlap would write some labels twice (harmlessly, so no
+    # labeling shows it), a gap would leave some unjumped
+    import cubeperc.components as components
+
+    seen = Counter()
+    real = components._jump_range
+
+    def recording(f, out, s):
+        seen[s.start, s.stop] += 1
+        return real(f, out, s)
+
+    monkeypatch.setattr(components, "_jump_range", recording)
+    g = CubeGraph(19)
+    label_sample(g, SampleKey(8), 2 / 19, 2)
+    ranges = sorted(seen)
+    assert len(ranges) >= 2 and len(set(seen.values())) == 1
+    assert ranges[0][0] == 0 and ranges[-1][1] == g.n
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def test_sprinkling_rows_equal_across_thread_counts():
+    d = 17
+    args = (3, 1, d, 1.5 / d, d ** -2.0, d * d)
+    assert _sprinkling_trial(args, threads=2) == _sprinkling_trial(args)
 
 
 def test_label_gray_code_hamiltonian_path():

@@ -254,6 +254,52 @@ def test_pool_never_exceeds_trials(monkeypatch):
     assert pooled.to_json_bytes() == run_experiment(_small_super(trials=3)).to_json_bytes()
 
 
+def _record_threads(monkeypatch, cpus):
+    # every label_sample call's thread count, on a host of ``cpus`` CPUs,
+    # with pooled trials mapped in-process by _RecordingPool
+    seen = []
+    real = experiments.label_sample
+
+    def recording(g, key, p, threads=1):
+        seen.append(threads)
+        return real(g, key, p, threads)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiments, "label_sample", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "workers,trials,d,threads",
+    [
+        (1, 2, 16, 2),  # one process: both CPUs label
+        (2, 2, 16, 1),  # two processes: one CPU each
+        (2, 1, 16, 2),  # one trial needs no pool, so its process has both
+        (1, 2, 15, 1),  # a direction's 2^14 counters fill no sampling pass
+    ],
+)
+def test_thread_count_rule(monkeypatch, workers, trials, d, threads):
+    seen = _record_threads(monkeypatch, 2)
+    cfg = ExperimentConfig(kind="supercritical", d=d, c=2.0, trials=trials, seed=3)
+    report = run_experiment(cfg, workers=workers)
+    assert seen == [threads] * trials
+    # the thread count is in no report field, and moves no byte
+    assert "threads" not in report.config and "threads" not in report.to_json_bytes().decode()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_experiment(cfg, workers=workers).to_json_bytes() == report.to_json_bytes()
+
+
+def test_processes_times_threads_never_exceed_the_cpus(monkeypatch):
+    for cpus in range(1, 9):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for processes in range(1, cpus + 1):
+            threads = experiments.thread_count(20, processes)
+            assert 1 <= threads and processes * threads <= cpus
+        assert experiments.thread_count(20, 1) == cpus
+        assert experiments.thread_count(15, 1) == 1
+
+
 def test_import_loads_no_process_pool():
     # a serial run never pays for multiprocessing: it loads with the first pool
     src = str(Path(experiments.__file__).parents[1])

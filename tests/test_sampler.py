@@ -10,6 +10,7 @@ from cubeperc.sampler import (
     _BLOCK,
     _GAMMA,
     _M64,
+    _PASS,
     BitStream,
     EdgeKeyedBitSource,
     SampleKey,
@@ -111,25 +112,57 @@ def test_kernel_matches_oracle_at_ties(d, key, data):
         _assert_kernel_matches_oracle(g, key, p)
 
 
-@pytest.mark.parametrize("d", [11, 13])  # m = 1.375 and 6.5 blocks: the last block is partial
+# m = 1.375 and 6.5 blocks (1.625 passes): the last block is partial; m =
+# 3.5 and 16 passes: a partial last pass, and whole passes only.  Every pass
+# boundary is a block boundary.
+@pytest.mark.parametrize("d", [11, 13, 14, 16])
 def test_sample_edges_block_boundaries(d):
     g = CubeGraph(d)
     key = SampleKey(2**40 + 3, 5, 1)
     edges = sorted({e for start in range(0, g.m, _BLOCK) for e in (start - 1, start) if e >= 0} | {g.m - 1})
-    for p in (0.5, 0.1, uniform01(key, _BLOCK)):
+    for p in (0.5, 0.1, uniform01(key, _BLOCK), uniform01(key, _PASS)):
         mask = sample_edges(g, key, p).open_mask
         assert [bool(mask[e]) for e in edges] == [uniform01(key, e) < p for e in edges]
 
 
-@pytest.mark.parametrize("start,count", [(0, 1), (5, 3 * _BLOCK + 7), (2**40 - 3, _BLOCK + 1)])
+def _raw_tie_key(e):
+    # a key whose counter e has raw bits with the low 11 bits 0, so that at
+    # p = (bits >> 11) / 2^53 they equal threshold << 11 exactly
+    for seed in range(1 << 20):
+        key = SampleKey(seed, 3, 0)
+        bits = _mix64((_stream_state(key) + e * _GAMMA) & _M64)
+        if bits & 0x7FF == 0:
+            return key, (bits >> 11) / 2**53
+    raise AssertionError("no raw tie found")
+
+
+@pytest.mark.parametrize("e", [_PASS - 1, _PASS, _PASS + 1, 3 * _PASS])
+def test_raw_tie_at_a_pass_boundary(e):
+    # the raw-bits tie on either side of a pass boundary, through the pass
+    # path (m > _BLOCK) of sample_edges and of sample_directions
+    key, p = _raw_tie_key(e)
+    g = CubeGraph(14)  # m = 3.5 passes
+    half = 1 << (g.d - 1)
+    for q, is_open in ((p, False), (math.nextafter(p, 1.0), True)):
+        assert (uniform01(key, e) < q) == is_open
+        assert sample_edges(g, key, q).open_mask[e] == is_open
+        row = next(r for i, r in enumerate(sample_directions(g, key, q)) if i == e // half)
+        assert row[e % half] == is_open
+
+
+@pytest.mark.parametrize(
+    "start,count",
+    [(0, 1), (5, 3 * _BLOCK + 7), (2**40 - 3, _BLOCK + 1), (0, _PASS), (5, 3 * _PASS + 7), (2**40 - 3, _PASS + 1)],
+)
 @pytest.mark.parametrize("p", [0.0, 1.0, 0.3])
 def test_open_bits_fills_any_window(start, count, p):
     # p = 1 is the 2^64 limit the raw comparison cannot hold; windows start
-    # off a block boundary and span a partial last block
+    # off a block boundary and span a partial last block or pass; every
+    # block (so every pass) boundary is checked on both sides
     key = SampleKey(2**63 + 9, 4, 1)
     out = np.empty(count, dtype=bool)
     _open_bits(_stream_state(key), start, _threshold(p), out)
-    counters = sorted({0, 1, _BLOCK - 1, _BLOCK, count - 1} & set(range(count)))
+    counters = sorted(({0, 1, count - 1} | {c + k for c in range(_BLOCK, count, _BLOCK) for k in (-1, 0)}) & set(range(count)))
     assert [bool(out[k]) for k in counters] == [uniform01(key, start + k) < p for k in counters]
     if p in (0.0, 1.0):
         assert out.all() == (p == 1.0) and out.any() == (p == 1.0)
@@ -161,6 +194,20 @@ def test_sample_directions_split_the_edge_mask(d, p):
     rows = [mask.copy() for mask in sample_directions(g, key, p)]
     assert len(rows) == d and all(row.shape == (1 << (d - 1),) for row in rows)
     assert np.array_equal(np.concatenate(rows), sample_edges(g, key, p).open_mask)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 14, 16])
+def test_sample_directions_over_a_range(d):
+    # any consecutive range of directions, in one buffer of its directions
+    # below d = 14, samples exactly its rows of the full draw
+    g = CubeGraph(d)
+    key = SampleKey(2**33 + 5, 1, 0)
+    full = sample_edges(g, key, 0.3).open_mask.reshape(d, -1)
+    for a in range(d):
+        for b in sorted({a, a + 1, (a + d + 1) // 2, d}):
+            rows = [mask.copy() for mask in sample_directions(g, key, 0.3, range(a, b))]
+            assert len(rows) == b - a
+            assert all(np.array_equal(row, full[i]) for i, row in zip(range(a, b), rows))
 
 
 def test_key_validation():
