@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import sys
 import time
 from dataclasses import fields
 
 from . import theory
-from .components import label_sample, thread_count, write_histogram_csv
+from .components import label_sample, thread_count, usable_cpus, write_histogram_csv
 from .errors import CapacityError, ConfigError
 from .experiments import (
     ExperimentConfig,
@@ -119,9 +118,9 @@ def cmd_sim(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if not 1 <= args.workers <= cpus:
-        raise ConfigError(f"--workers must lie in [1, {cpus}] (the CPU count), got {args.workers}")
+        raise ConfigError(f"--workers must lie in [1, {cpus}] (the usable CPU count), got {args.workers}")
     mapping = parse_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name) is not None:

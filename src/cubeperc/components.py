@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -63,24 +65,42 @@ class ComponentLabeling:
         return sizes[self._vertex_labels]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (taskset, a container's cpuset), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The most threads one labeling uses.  The split was measured on 2 CPUs only;
+# raise this once a host with more has been benchmarked.
+_MAX_THREADS = 2
+
+
 def thread_count(d: int, processes: int = 1) -> int:
     """Threads for one labeling of Q^d while ``processes`` trials run side
-    by side: the CPUs left to each process, ``os.cpu_count() // processes``,
-    or 1 when one direction's 2^(d-1) counters are fewer than one sampling
-    pass, where a trial is too short for threads to pay."""
+    by side: the CPUs left to each process, ``usable_cpus() // processes``,
+    at most ``_MAX_THREADS``, or 1 when one direction's 2^(d-1) counters are
+    fewer than one sampling pass, where a trial is too short for threads to
+    pay."""
     if 1 << (d - 1) < _PASS:
         return 1
-    return max(1, (os.cpu_count() or 1) // processes)
+    return max(1, min(_MAX_THREADS, usable_cpus() // processes))
 
 
-def _thread_pool(threads: int):
-    # a pool of ``threads`` threads, or None for one thread, so that a
-    # serial call starts no thread and imports no concurrent.futures; the
-    # caller shuts the pool down, which joins its threads
+# one thread's executor: the builtin map, which starts no thread and
+# imports no concurrent.futures
+_SERIAL = nullcontext(SimpleNamespace(map=map))
+
+
+def _executor(threads: int):
+    # something to map tasks with, shut down (its threads joined) on leaving
+    # its ``with`` block
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if threads == 1:
-        return None
+        return _SERIAL
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=threads)
@@ -93,13 +113,18 @@ def _split(n: int, parts: int) -> list[slice]:
     return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-# The longest index range that one pool task gathers over.  Tasks of a
+# The longest index range that one task gathers over.  Tasks of a
 # quarter million entries keep a thread in native code for about a
 # millisecond and the intp copy that np.take makes of their index at 2 MB;
 # the pool hands them out to whichever thread is free.  The gathers are
 # np.take in clip mode, which every label, a vertex, leaves alone: it skips
 # the per-index check and gathers ~1.5x faster than f[idx].
 _TASK = 1 << 18
+
+# Below this many entries a gather is one range, called directly: mapping
+# tasks costs more than the gathers of a small cube, where no thread pays.
+_DIRECT = 1 << 11
+_ALL = slice(None)
 
 
 def _tasks(n: int, threads: int) -> list[slice]:
@@ -109,13 +134,14 @@ def _tasks(n: int, threads: int) -> list[slice]:
 def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
     # one pointer jump over a vertex range: out[s] = f[f[s]], reading only f
     # and writing only out[s]; returns how many labels moved
-    np.take(f, f[s], out=out[s], mode="clip")
-    return int(np.count_nonzero(out[s] != f[s]))
+    fs, outs = f[s], out[s]
+    f.take(fs, out=outs, mode="clip")
+    return int(np.count_nonzero(outs != fs))
 
 
 def _relabel_range(f: np.ndarray, lu: np.ndarray, lv: np.ndarray, s: slice) -> tuple[np.ndarray, np.ndarray]:
     # the label pairs of a pair range after a jump, less those now joined
-    lu, lv = np.take(f, lu[s], mode="clip"), np.take(f, lv[s], mode="clip")
+    lu, lv = f.take(lu[s], mode="clip"), f.take(lv[s], mode="clip")
     differ = lu != lv
     return lu[differ], lv[differ]
 
@@ -147,17 +173,18 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     labels, so each component has exactly one root, and that root is its
     minimum.  The component sizes are counted from the sorted labels.
 
-    With ``threads`` > 1 the gathers run on a thread pool over disjoint
-    index ranges, and the result is the same to the byte.  A jump writes
-    nxt[a:b] = f[f[a:b]] for consecutive vertex ranges into an array that no
-    thread reads, and swaps the two arrays only after every range is done,
-    so it is the serial f[f] in pieces.  The relabel and the filter of the
-    unjoined pairs run per consecutive pair range and are joined in range
-    order, so the pairs keep their serial order.  The hooks, the final sort
-    and the statistics stay on one thread: np.minimum.at writes shared f.
+    The gathers run over disjoint index ranges of at most ``_TASK``
+    entries, on a thread pool when ``threads`` > 1 (below ``_DIRECT``
+    entries, as one range called directly), and the result is the same to
+    the byte for any thread count.  A jump writes nxt[a:b] = f[f[a:b]] for
+    consecutive vertex ranges into an array that no range reads, and swaps
+    the two arrays only after every range is done, so it is f[f] in pieces.
+    The relabel and the filter of the unjoined pairs run per consecutive
+    pair range and are joined in range order, so the pairs keep their
+    order.  The hooks, the final sort and the statistics stay on one
+    thread: np.minimum.at writes shared f.
     """
-    pool = _thread_pool(threads)
-    try:
+    with _executor(threads) as pool:
         f = np.arange(g.n, dtype=np.int32)
         open_edges = 0
         for i, u in enumerate(bases):
@@ -165,28 +192,20 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
             open_edges += u.size
         lu = None
         while True:
-            if pool is None:
-                # jump inline, so that each step frees the array it replaces;
-                # f[f] reads the int32 indices as they are, where np.take
-                # would copy all n of them to intp
-                nxt = f[f]
-                while np.count_nonzero(nxt != f):
-                    f, nxt = nxt, nxt[nxt]
+            nxt = np.empty_like(f)
+            if g.n < _DIRECT:
+                while _jump_range(f, nxt, _ALL):
+                    f, nxt = nxt, f
             else:
-                nxt = np.empty_like(f)
-                jump = _tasks(g.n, threads)
-                while sum(pool.map(partial(_jump_range, f, nxt), jump)):
+                while sum(pool.map(partial(_jump_range, f, nxt), _tasks(g.n, threads))):
                     f, nxt = nxt, f
             del nxt
             if lu is None:  # first round: the endpoints of every open edge
                 lv = np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
                 lu = np.concatenate(bases)
                 del bases  # the only reference when the caller passes a fresh list
-            if pool is None:
-                lu = f[lu]  # one at a time, so that at most three pair arrays are held
-                lv = f[lv]
-                differ = lu != lv
-                lu, lv = lu[differ], lv[differ]
+            if lu.size < _DIRECT:
+                lu, lv = _relabel_range(f, lu, lv, _ALL)
             else:
                 parts = list(pool.map(partial(_relabel_range, f, lu, lv), _tasks(lu.size, threads)))
                 del lu, lv
@@ -196,14 +215,12 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
             if not lu.size:
                 break
             np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
-    finally:
-        if pool is not None:
-            pool.shutdown()
     # on the giant-dominated labels of a supercritical draw the sort beats
     # bincount, and it needs no intp copy of f or n-length int64 counts
     ordered = f.copy()
     ordered.sort()
-    first = np.ones(g.n + 1, dtype=bool)  # a label starts at k; k = n closes the last
+    first = np.empty(g.n + 1, dtype=bool)  # a label starts at k; k = n closes the last
+    first[0] = first[g.n] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
     starts = first.nonzero()[0]
     counts = starts[1:] - starts[:-1]  # component sizes, by ascending label
@@ -232,10 +249,7 @@ def per_direction(share: Callable[[range], list], d: int, threads: int = 1) -> l
     """``share(range(d))`` on ``threads`` threads: each thread calls
     ``share`` on a consecutive range of directions, and the lists it returns,
     one item per direction, are joined in direction order."""
-    pool = _thread_pool(threads)
-    if pool is None:
-        return share(range(d))
-    with pool:
+    with _executor(threads) as pool:
         ranges = [range(s.start, s.stop) for s in _split(d, threads)]
         return [item for part in pool.map(share, ranges) for item in part]
 

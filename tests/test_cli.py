@@ -127,17 +127,24 @@ def test_golden_sim_bytes(capsys, tmp_path, argv, out_sha, hist_sha):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == hist_sha
 
 
-@pytest.mark.parametrize("cpus,d,threads", [(2, 16, 2), (3, 16, 3), (2, 15, 1)])
+def _usable_cpus(monkeypatch, cpus):
+    # a process allowed ``cpus`` CPUs of a 64-CPU host
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+# every usable CPU, up to the two that the split was measured on
+@pytest.mark.parametrize("cpus,d,threads", [(2, 16, 2), (3, 16, 2), (1, 16, 1), (2, 15, 1)])
 def test_sim_labels_on_every_cpu(capsys, monkeypatch, cpus, d, threads):
     import cubeperc.cli as cli_module
 
     seen = []
     real = cli_module.label_sample
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(cli_module, "label_sample", lambda *a: seen.append(a[-1]) or real(*a))
     code, out, _ = _run(capsys, "sim", "--d", str(d), "--p", "0.1")
     assert code == 0 and seen == [threads]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _usable_cpus(monkeypatch, 1)
     assert _run(capsys, "sim", "--d", str(d), "--p", "0.1")[1] == out
 
 
@@ -219,6 +226,16 @@ def test_experiment_workers_bounded(capsys, workers):
     assert code == 1
     assert out == ""
     assert "--workers" in err
+
+
+def test_experiment_workers_bounded_by_the_usable_cpus(capsys, monkeypatch):
+    # a 2-CPU cpuset on a 64-CPU host takes at most 2 workers
+    _usable_cpus(monkeypatch, 2)
+    code, out, err = _run(
+        capsys, "experiment", "--kind", "gw", "--d", "3", "--c", "2", "--trials", "2",
+        "--workers", "3",
+    )
+    assert code == 1 and out == "" and "[1, 2]" in err
 
 
 def test_experiment_unreachable_w_threshold(capsys):

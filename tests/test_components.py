@@ -1,11 +1,13 @@
 import sys
 import threading
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cubeperc.components as components
 from cubeperc.components import (
     _TASK,
     ExplorationResult,
@@ -220,7 +222,8 @@ def _all_fields(lab):
 @settings(max_examples=40, deadline=None)
 def test_label_bases_equal_across_thread_counts(d, seed, p):
     # uneven splits of the vertex and pair ranges give the serial labeling
-    # to the field, and that labeling is the closure oracle's
+    # to the field, and that labeling is the closure oracle's; with _DIRECT
+    # at 0 every gather is mapped over ranges, as on a large cube
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(seed), p).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
@@ -228,6 +231,9 @@ def test_label_bases_equal_across_thread_counts(d, seed, p):
     assert serial[7] == _closure_components(g, mask).tolist()
     for threads in (2, 3, 5):
         assert _all_fields(label_bases(g, bases, threads)) == serial
+    with mock.patch.object(components, "_DIRECT", 0):
+        for threads in (1, 2, 3, 5):
+            assert _all_fields(label_bases(g, bases, threads)) == serial
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -254,6 +254,12 @@ def test_pool_never_exceeds_trials(monkeypatch):
     assert pooled.to_json_bytes() == run_experiment(_small_super(trials=3)).to_json_bytes()
 
 
+def _usable_cpus(monkeypatch, cpus):
+    # a process allowed ``cpus`` CPUs of a 64-CPU host
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def _record_threads(monkeypatch, cpus):
     # every label_sample call's thread count, on a host of ``cpus`` CPUs,
     # with pooled trials mapped in-process by _RecordingPool
@@ -264,7 +270,7 @@ def _record_threads(monkeypatch, cpus):
         seen.append(threads)
         return real(g, key, p, threads)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(experiments, "label_sample", recording)
     return seen
@@ -286,18 +292,29 @@ def test_thread_count_rule(monkeypatch, workers, trials, d, threads):
     assert seen == [threads] * trials
     # the thread count is in no report field, and moves no byte
     assert "threads" not in report.config and "threads" not in report.to_json_bytes().decode()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _usable_cpus(monkeypatch, 1)
     assert run_experiment(cfg, workers=workers).to_json_bytes() == report.to_json_bytes()
 
 
 def test_processes_times_threads_never_exceed_the_cpus(monkeypatch):
     for cpus in range(1, 9):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _usable_cpus(monkeypatch, cpus)
         for processes in range(1, cpus + 1):
             threads = experiments.thread_count(20, processes)
             assert 1 <= threads and processes * threads <= cpus
-        assert experiments.thread_count(20, 1) == cpus
+        assert experiments.thread_count(20, 1) == min(cpus, 2)  # capped at the 2 measured
         assert experiments.thread_count(15, 1) == 1
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    from cubeperc.components import usable_cpus
+
+    _usable_cpus(monkeypatch, 3)
+    assert usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
 
 
 def test_import_loads_no_process_pool():
