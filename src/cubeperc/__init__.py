@@ -21,7 +21,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     parse_config_file,
-    read_report_csv,
     run_experiment,
     write_report,
 )

@@ -42,8 +42,8 @@ class ComponentLabeling:
     component.  ``open_edges`` counts the open edges labeled.
 
     The labeling keeps the int32 label of every vertex and the ascending
-    labels of the components; ``labels`` and ``vertex_component_size`` are
-    the int64 per-vertex forms, built on first use.
+    labels of the components; ``labels`` is the int64 per-vertex form, built
+    on first use.
     """
 
     l1: int
@@ -57,12 +57,6 @@ class ComponentLabeling:
     @cached_property
     def labels(self) -> np.ndarray:
         return self._vertex_labels.astype(np.int64)
-
-    @cached_property
-    def vertex_component_size(self) -> np.ndarray:
-        sizes = np.zeros(self._vertex_labels.size, dtype=np.int64)
-        sizes[self._component_labels] = self.component_sizes
-        return sizes[self._vertex_labels]
 
 
 def usable_cpus() -> int:
@@ -124,11 +118,18 @@ _TASK = 1 << 18
 # Below this many entries a gather is one range, called directly: mapping
 # tasks costs more than the gathers of a small cube, where no thread pays.
 _DIRECT = 1 << 11
-_ALL = slice(None)
 
 
 def _tasks(n: int, threads: int) -> list[slice]:
     return _split(n, max(threads, -(-n // _TASK)))
+
+
+def _map_ranges(pool, fn: Callable[[slice], object], n: int, threads: int) -> list:
+    # fn over the index ranges of [0, n), results in range order: one direct
+    # call below _DIRECT entries, else ``pool`` maps it over ``_tasks``
+    if n < _DIRECT:
+        return [fn(slice(None))]
+    return list(pool.map(fn, _tasks(n, threads)))
 
 
 def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
@@ -193,25 +194,18 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
         lu = None
         while True:
             nxt = np.empty_like(f)
-            if g.n < _DIRECT:
-                while _jump_range(f, nxt, _ALL):
-                    f, nxt = nxt, f
-            else:
-                while sum(pool.map(partial(_jump_range, f, nxt), _tasks(g.n, threads))):
-                    f, nxt = nxt, f
+            while sum(_map_ranges(pool, partial(_jump_range, f, nxt), g.n, threads)):
+                f, nxt = nxt, f
             del nxt
             if lu is None:  # first round: the endpoints of every open edge
                 lv = np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
                 lu = np.concatenate(bases)
                 del bases  # the only reference when the caller passes a fresh list
-            if lu.size < _DIRECT:
-                lu, lv = _relabel_range(f, lu, lv, _ALL)
-            else:
-                parts = list(pool.map(partial(_relabel_range, f, lu, lv), _tasks(lu.size, threads)))
-                del lu, lv
-                lu = np.concatenate([x for x, _ in parts])
-                lv = np.concatenate([y for _, y in parts])
-                del parts
+            parts = _map_ranges(pool, partial(_relabel_range, f, lu, lv), lu.size, threads)
+            del lu, lv
+            lu = np.concatenate([x for x, _ in parts])
+            lv = np.concatenate([y for _, y in parts])
+            del parts
             if not lu.size:
                 break
             np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))

@@ -525,7 +525,6 @@ def _map_trials(fn, args_list, workers, on_trial):
                 rows.append(row)
                 if on_trial:
                     on_trial(i + 1, total)
-    rows.sort(key=lambda r: r["trial"])
     return rows
 
 
@@ -544,8 +543,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> Ex
     block, params = spec.theory(cfg)
     args = [(cfg.seed, t, *params) for t in range(cfg.trials)]
     processes = min(workers, cfg.trials)
-    threads = thread_count(cfg.d, processes) if spec.labels else 1
-    trial = partial(spec.trial, threads=threads) if threads > 1 else spec.trial
+    trial = partial(spec.trial, threads=thread_count(cfg.d, processes)) if spec.labels else spec.trial
     rows = _map_trials(trial, args, processes, on_trial)
     return ExperimentReport(cfg.echo(), block, rows, spec.aggregate(cfg, rows))
 
@@ -580,31 +578,3 @@ def write_report(report: ExperimentReport, path, format: str = "json") -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
-
-
-def read_report_csv(path) -> tuple[dict, list[dict]]:
-    """Parse a CSV report back into (metadata, typed rows)."""
-    meta = {}
-    header = None
-    rows = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            values = line.split(",")
-            row = {}
-            for name, text in zip(header, values):
-                try:
-                    row[name] = int(text)
-                except ValueError:
-                    row[name] = float(text)
-            rows.append(row)
-    return meta, rows

@@ -26,10 +26,10 @@ seeded at ``state``, i.e. a bijection of the counter.
 
 Since every bit is a function of its counter alone, any split of the
 counters samples the same draw: ``sample_directions`` over disjoint ranges
-of directions may run on threads side by side.  ``_open_bits`` runs its
-windows in passes: ``_BLOCK`` = 8192 counters, ``BitStream``'s block, for a
-window of at most one block, and ``_PASS`` = 32768 for a longer one, long
-enough per numpy call for two threads to overlap.
+of directions may run on threads side by side.  ``_open_bits`` runs every
+window in passes of at most ``_PASS`` = 32768 counters on one import-time
+step table, long enough per numpy call for two threads to overlap; a
+``BitStream`` block of ``_BLOCK`` = 8192 counters is one pass.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TO_UNIT = 2.0**-53
-_BLOCK = 8192  # BitStream's block; the splitmix64 pass of windows up to one block
-_BLOCK_STEP = (_BLOCK * _GAMMA) & _M64
-_STEPS = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GAMMA)  # c * GAMMA mod 2^64
-_STEPS.setflags(write=False)
-_PASS = 32768  # the splitmix64 pass of longer windows, with a step table built per call
+_BLOCK = 8192  # BitStream's block
+_PASS = 32768  # the splitmix64 pass: the most counters one numpy call works on
 _PASS_STEP = (_PASS * _GAMMA) & _M64
+_STEPS = np.arange(_PASS, dtype=np.uint64)
+_STEPS *= np.uint64(_GAMMA)  # c * GAMMA mod 2^64, in place
+_STEPS.setflags(write=False)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
@@ -120,33 +120,25 @@ def _open_bits(state: int, start: int, threshold: int, out: np.ndarray) -> None:
     compared without the shift.  T * 2^11 fits in 64 bits unless T = 2^53,
     i.e. p = 1, where every bit is open.
 
-    splitmix64 runs one pass of counters at a time, in place on one uint64
-    work block and one shift temporary, wrapping mod 2^64: the pass at
-    counter s starts from steps + (state + s * GAMMA), where steps[c] =
-    c * GAMMA, and the offset grows by the pass length times GAMMA.  A window
-    of at most ``_BLOCK`` counters (every ``BitStream`` block) runs in one
-    pass on the import-time ``_STEPS``.  A longer window runs in ``_PASS``
-    steps on a table built for the call: each numpy call then works long
-    enough that threads sampling other windows overlap it, which 8192-counter
-    passes are too short for.
+    splitmix64 runs one pass of at most ``_PASS`` counters at a time, in
+    place on one uint64 work block and one shift temporary, wrapping mod
+    2^64: the pass at counter s starts from _STEPS + (state + s * GAMMA),
+    where _STEPS[c] = c * GAMMA, and the offset grows by _PASS * GAMMA.  A
+    window of at most ``_PASS`` counters, such as a ``BitStream`` block, is
+    one pass.  A pass is long enough that threads sampling other windows
+    overlap each numpy call.
     """
     if threshold == 1 << 53:
         out[:] = True
         return
     limit = np.uint64(threshold << 11)
-    if out.size > _BLOCK:
-        length, stride = _PASS, _PASS_STEP
-        steps = np.arange(min(out.size, _PASS), dtype=np.uint64)
-        steps *= np.uint64(_GAMMA)
-    else:
-        length, stride, steps = _BLOCK, _BLOCK_STEP, _STEPS
-    work = np.empty(min(out.size, length), dtype=np.uint64)
+    work = np.empty(min(out.size, _PASS), dtype=np.uint64)
     tmp = np.empty_like(work)
     offset = (state + start * _GAMMA) & _M64
-    for lo in range(0, out.size, length):
-        dst = out[lo:lo + length]
+    for lo in range(0, out.size, _PASS):
+        dst = out[lo:lo + _PASS]
         x, t = work[:dst.size], tmp[:dst.size]
-        np.add(steps[:dst.size], np.uint64(offset), out=x)
+        np.add(_STEPS[:dst.size], np.uint64(offset), out=x)
         np.right_shift(x, _U30, out=t)
         x ^= t
         x *= _U_MIX_A
@@ -156,7 +148,7 @@ def _open_bits(state: int, start: int, threshold: int, out: np.ndarray) -> None:
         np.right_shift(x, _U31, out=t)
         x ^= t
         np.less(x, limit, out=dst)
-        offset = (offset + stride) & _M64
+        offset = (offset + _PASS_STEP) & _M64
 
 
 @dataclass(frozen=True)
@@ -179,8 +171,8 @@ class EdgeSample:
 
 def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
     """Draw Q^d_p: edge e is open iff uniform01(key, e) < p, decided by
-    ``_open_bits`` one ``_BLOCK`` of counters at a time, so the uint64
-    working block stays in cache."""
+    ``_open_bits`` in passes of ``_PASS`` counters, so its uint64 work
+    arrays hold one pass, not all m counters."""
     mask = np.empty(g.m, dtype=bool)
     _open_bits(_stream_state(key), 0, _threshold(p), mask)
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
@@ -194,8 +186,9 @@ def sample_directions(g, key: SampleKey, p: float, directions: range | None = No
 
     Each item is a view into one reused buffer, valid until the next item.
     The buffer holds one direction's 2^(d-1) counters, or those of every
-    direction asked for when 2^(d-1) < _BLOCK, so that every ``_open_bits``
-    call fills whole blocks.  Calls over disjoint ranges of directions share
+    direction asked for when 2^(d-1) < _BLOCK: a direction that small costs
+    little more than numpy's fixed overhead per call, so one ``_open_bits``
+    call samples them all.  Calls over disjoint ranges of directions share
     nothing, so threads may sample them side by side.
     """
     directions = range(g.d) if directions is None else directions

@@ -52,6 +52,12 @@ def _closure_components(g, mask):
     return labels
 
 
+def _vertex_sizes(lab):
+    # each vertex's component size: component_sizes lists the sizes by
+    # ascending label, so a vertex's size sits at its label's rank
+    return lab.component_sizes[np.unique(lab.labels, return_inverse=True)[1]]
+
+
 def _assert_matches_closure(g, mask):
     # every field of the labeling against the closure oracle
     lab = label_components(g, mask)
@@ -60,7 +66,7 @@ def _assert_matches_closure(g, mask):
     ranked = sorted(sizes.values(), reverse=True) + [0]
     assert lab.labels.dtype == np.int64
     assert lab.labels.tolist() == oracle
-    assert lab.vertex_component_size.tolist() == [sizes[x] for x in oracle]
+    assert _vertex_sizes(lab).tolist() == [sizes[x] for x in oracle]
     assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
     assert lab.n_components == len(sizes)
     assert (lab.l1, lab.l2) == (ranked[0], ranked[1])
@@ -94,16 +100,17 @@ def test_label_hand_traced_q2():
     assert lab.l1 == 3
     assert lab.l2 == 1
     assert lab.labels.tolist() == [0, 0, 2, 0]
-    assert lab.vertex_component_size.tolist() == [3, 3, 1, 3]
+    assert _vertex_sizes(lab).tolist() == [3, 3, 1, 3]
 
 
 def test_label_canonical_min_vertex():
     g = CubeGraph(3)
     lab = label_components(g, sample_edges(g, SampleKey(5), 0.4))
+    vertex_sizes = _vertex_sizes(lab)
     for v in range(g.n):
         members = [u for u in range(g.n) if lab.labels[u] == lab.labels[v]]
         assert lab.labels[v] == min(members)
-        assert lab.vertex_component_size[v] == len(members)
+        assert vertex_sizes[v] == len(members)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -151,7 +158,7 @@ def _labeling_fields(lab, threshold, g):
     max_dist = distance_to_set(g, members)[1] if members.any() else -1
     return (
         lab.labels.tolist(),
-        lab.vertex_component_size.tolist(),
+        _vertex_sizes(lab).tolist(),
         lab.component_sizes.tolist(),
         lab.l1,
         lab.l2,
@@ -210,7 +217,7 @@ def _all_fields(lab):
         lab._vertex_labels.tolist(),
         lab._component_labels.tolist(),
         lab.labels.tolist(),
-        lab.vertex_component_size.tolist(),
+        _vertex_sizes(lab).tolist(),
     )
 
 
@@ -234,6 +241,43 @@ def test_label_bases_equal_across_thread_counts(d, seed, p):
     with mock.patch.object(components, "_DIRECT", 0):
         for threads in (1, 2, 3, 5):
             assert _all_fields(label_bases(g, bases, threads)) == serial
+
+
+def _bfs_labels(g, mask):
+    # pure-Python oracle: a BFS from each unlabeled vertex in increasing
+    # order names its component by the component's minimum vertex
+    open_rows = mask.reshape(g.d, -1).tolist()
+    labels = [-1] * g.n
+    for root in range(g.n):
+        if labels[root] >= 0:
+            continue
+        labels[root] = root
+        queue = [root]
+        for u in queue:
+            for i, row in enumerate(open_rows):
+                w = u ^ (1 << i)
+                base = min(u, w)
+                if labels[w] < 0 and row[((base >> (i + 1)) << i) | (base & ((1 << i) - 1))]:
+                    labels[w] = root
+                    queue.append(w)
+    return labels
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+@pytest.mark.parametrize("d", [10, 11, 12])
+def test_label_bases_on_both_sides_of_direct(d, p, threads):
+    # n = 1024 < _DIRECT jumps in one direct call, n = 2048 and 4096 map
+    # their jumps over ranges; the pair lists fall on either side as well
+    g = CubeGraph(d)
+    mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
+    lab = label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
+    oracle = _bfs_labels(g, mask)
+    sizes = Counter(oracle)
+    ranked = sorted(sizes.values(), reverse=True) + [0]
+    assert lab.labels.tolist() == oracle
+    assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
+    assert (lab.l1, lab.l2, lab.n_components, lab.open_edges) == (ranked[0], ranked[1], len(sizes), mask.sum())
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -342,7 +386,7 @@ def test_label_isolated_vertices():
     mask = sample_edges(g, SampleKey(11), 0.6).open_mask & ~np.isin(us, isolated) & ~np.isin(vs, isolated)
     lab = _assert_matches_closure(g, mask)
     assert lab.labels[isolated].tolist() == isolated
-    assert lab.vertex_component_size[isolated].tolist() == [1, 1, 1]
+    assert _vertex_sizes(lab)[isolated].tolist() == [1, 1, 1]
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
@@ -462,7 +506,7 @@ def test_explore_agrees_with_labeling():
         v = int(rng.integers(0, g.n))
         lab = label_components(g, sample_edges(g, key, p))
         result = explore_component(g, v, EdgeKeyedBitSource(key, p), cap=g.n)
-        assert result.size == lab.vertex_component_size[v]
+        assert result.size == _vertex_sizes(lab)[v]
         assert result.open_found >= result.size - 1
 
 

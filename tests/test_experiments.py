@@ -16,7 +16,6 @@ from cubeperc.experiments import (
     KINDS,
     ExperimentConfig,
     parse_config_file,
-    read_report_csv,
     run_experiment,
     write_report,
 )
@@ -427,12 +426,22 @@ def test_csv_round_trip(tmp_path):
     report = run_experiment(_small_super(trials=5, seed=3))
     path = tmp_path / "report.csv"
     write_report(report, path, "csv")
-    meta, rows = read_report_csv(path)
-    assert rows == report.rows
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    assert lines[:len(comments)] == comments  # the config header comes first
+    meta = dict((part.strip() for part in line[1:].split("=", 1)) for line in comments)
     assert meta["kind"] == "supercritical"
-    header = path.read_text().splitlines()
-    assert header[0].startswith("#")
-    assert "trial,l1,l2,n_components,w_density,gap_count,max_dist_w" in header
+    header, *body = (line.split(",") for line in lines[len(comments):])
+    assert header == ["trial", "l1", "l2", "n_components", "w_density", "gap_count", "max_dist_w"]
+    assert header == list(report.rows[0])
+
+    def number(text):
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+
+    assert [dict(zip(header, map(number, values))) for values in body] == report.rows
 
 
 def test_json_report_write(tmp_path):

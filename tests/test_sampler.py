@@ -138,8 +138,8 @@ def _raw_tie_key(e):
 
 @pytest.mark.parametrize("e", [_PASS - 1, _PASS, _PASS + 1, 3 * _PASS])
 def test_raw_tie_at_a_pass_boundary(e):
-    # the raw-bits tie on either side of a pass boundary, through the pass
-    # path (m > _BLOCK) of sample_edges and of sample_directions
+    # the raw-bits tie on either side of a pass boundary, through
+    # sample_edges and sample_directions
     key, p = _raw_tie_key(e)
     g = CubeGraph(14)  # m = 3.5 passes
     half = 1 << (g.d - 1)
@@ -152,7 +152,16 @@ def test_raw_tie_at_a_pass_boundary(e):
 
 @pytest.mark.parametrize(
     "start,count",
-    [(0, 1), (5, 3 * _BLOCK + 7), (2**40 - 3, _BLOCK + 1), (0, _PASS), (5, 3 * _PASS + 7), (2**40 - 3, _PASS + 1)],
+    [
+        (0, 1),
+        (7, _BLOCK),
+        (5, 3 * _BLOCK + 7),
+        (2**40 - 3, _BLOCK + 1),
+        (0, _PASS - 1),
+        (0, _PASS),
+        (5, 3 * _PASS + 7),
+        (2**40 - 3, _PASS + 1),
+    ],
 )
 @pytest.mark.parametrize("p", [0.0, 1.0, 0.3])
 def test_open_bits_fills_any_window(start, count, p):
