@@ -2,10 +2,13 @@
 # make check  Tier-1, perfbench's own tests, then one perfbench run per
 #             workload; fails unless each run's result line says
 #             "correct": true (perfbench/run.py exits 0 either way)
+# make pairs PARENT=<rev> WORKLOAD=<w> SEEDS="41 42 …"
+#             alternating perfbench runs of the parent revision and the
+#             working tree, one pair per seed (scripts/bench_pairs.py)
 
 WORKLOADS = giant-d20 explore-d20 sweep-d14
 
-.PHONY: test check
+.PHONY: test check pairs
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -21,3 +24,6 @@ check: test
 			*) echo "$$w: the run did not report \"correct\": true" >&2; exit 1 ;; \
 		esac; \
 	done
+
+pairs:
+	python3 scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" --seeds $(SEEDS)

@@ -13,7 +13,8 @@ by consecutive ranges of directions, one buffer per thread, and each pointer
 jump and each relabel of the label pairs by consecutive index ranges of at
 most ``_TASK`` entries, joined in order.  The counters are keyed and the
 labels canonical, so no bit and no label depends on the split.  The hooks
-(np.minimum.at), the final sort and the statistics run on one thread.
+(np.minimum.at), the first relabel where it runs per direction, the final
+sort and the statistics run on one thread.
 """
 
 from __future__ import annotations
@@ -140,11 +141,32 @@ def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
     return int(np.count_nonzero(outs != fs))
 
 
-def _relabel_range(f: np.ndarray, lu: np.ndarray, lv: np.ndarray, s: slice) -> tuple[np.ndarray, np.ndarray]:
-    # the label pairs of a pair range after a jump, less those now joined
-    lu, lv = f.take(lu[s], mode="clip"), f.take(lv[s], mode="clip")
+def _jump(pool, f: np.ndarray, threads: int) -> np.ndarray:
+    # f jumped to its fixed point f = f[f], by ranges into a second array
+    nxt = np.empty_like(f)
+    while sum(_map_ranges(pool, partial(_jump_range, f, nxt), f.size, threads)):
+        f, nxt = nxt, f
+    return f
+
+
+def _unjoined(lu: np.ndarray, lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the label pairs that differ, in order.  compress reads the mask in one
+    # branch-free pass; lu[differ] takes numpy's boolean-index path, which at
+    # d = 20 filtered a first round's million pairs ~4x slower
     differ = lu != lv
-    return lu[differ], lv[differ]
+    return lu.compress(differ), lv.compress(differ)
+
+
+def _relabel_range(f: np.ndarray, lu: np.ndarray, lv: np.ndarray, s: slice) -> tuple[np.ndarray, np.ndarray]:
+    # the label pairs of a pair range after a jump, less those now joined,
+    # filtered by compress (``_unjoined``)
+    return _unjoined(f.take(lu[s], mode="clip"), f.take(lv[s], mode="clip"))
+
+
+def _relabel_direction(f: np.ndarray, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the label pairs of direction i's open edges (u, u | 2^i) after the
+    # first jump, less those already joined
+    return _unjoined(f.take(u, mode="clip"), f.take(u | (1 << i), mode="clip"))
 
 
 def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> ComponentLabeling:
@@ -162,11 +184,19 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     increasing order: direction i writes f[u | 2^i] = u.  Any such write
     keeps f[v] < v in v's component, and as u = v - 2^i falls with i, the
     last write is v's smallest open lower neighbour, as np.minimum.at would
-    leave it.  After the first jump the per-direction lists become the
-    endpoint arrays and are released.  From then on the loop carries only
-    the label pairs (lu, lv) of the edges still unjoined, not the edges:
-    hooks write only roots and f is a star after jumping, so u's new label
-    f'[u] equals f'[f[u]], i.e. lu -> f[lu].
+    leave it.  After the first jump each direction is relabeled on its
+    own: f gathered at bases[i] and at bases[i] | 2^i, keeping only the
+    pairs still unjoined, so no array of all the endpoints is built.  Where
+    the directions average fewer than ``_DIRECT`` open edges, a call per
+    direction costs more than it saves, and the endpoints are joined into
+    one pair list and relabeled by ranges like a later round.  The
+    per-direction relabel runs on the calling thread: on pool threads its
+    per-direction results stayed in those threads' malloc arenas, and a
+    d = 24 labeling on two threads read 5-15 % more peak RSS.  The lists
+    are then released; the caller's arrays are only read.  From then on
+    the loop carries only the label pairs (lu, lv) of the edges still
+    unjoined, not the edges: hooks write only roots and f is a star after
+    jumping, so u's new label f'[u] equals f'[f[u]], i.e. lu -> f[lu].
 
     Labels come out canonical with no relabeling pass.  f[x] is always a
     vertex of x's component and f[x] <= x, so a component's minimum never
@@ -180,10 +210,11 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     the byte for any thread count.  A jump writes nxt[a:b] = f[f[a:b]] for
     consecutive vertex ranges into an array that no range reads, and swaps
     the two arrays only after every range is done, so it is f[f] in pieces.
-    The relabel and the filter of the unjoined pairs run per consecutive
-    pair range and are joined in range order, so the pairs keep their
-    order.  The hooks, the final sort and the statistics stay on one
-    thread: np.minimum.at writes shared f.
+    The relabels and their filters of the unjoined pairs run per
+    consecutive pair range (the first per direction, where the directions
+    are large) and are joined in order, so the pairs keep their order.  The
+    hooks, the per-direction relabel, the final sort and the statistics
+    stay on one thread: np.minimum.at writes shared f.
     """
     with _executor(threads) as pool:
         f = np.arange(g.n, dtype=np.int32)
@@ -191,24 +222,23 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
         for i, u in enumerate(bases):
             f[u | (1 << i)] = u
             open_edges += u.size
-        lu = None
-        while True:
-            nxt = np.empty_like(f)
-            while sum(_map_ranges(pool, partial(_jump_range, f, nxt), g.n, threads)):
-                f, nxt = nxt, f
-            del nxt
-            if lu is None:  # first round: the endpoints of every open edge
-                lv = np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
-                lu = np.concatenate(bases)
-                del bases  # the only reference when the caller passes a fresh list
+        f = _jump(pool, f, threads)
+        if open_edges < _DIRECT * len(bases):  # small directions: one list of all endpoints
+            lu, lv = np.concatenate(bases), np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
             parts = _map_ranges(pool, partial(_relabel_range, f, lu, lv), lu.size, threads)
-            del lu, lv
+        else:  # on this thread: see the docstring
+            parts = list(map(partial(_relabel_direction, f), range(len(bases)), bases))
+        del bases  # the only reference when the caller passes a fresh list
+        while True:
             lu = np.concatenate([x for x, _ in parts])
             lv = np.concatenate([y for _, y in parts])
             del parts
             if not lu.size:
                 break
             np.minimum.at(f, np.maximum(lu, lv), np.minimum(lu, lv))
+            f = _jump(pool, f, threads)
+            parts = _map_ranges(pool, partial(_relabel_range, f, lu, lv), lu.size, threads)
+            del lu, lv
     # on the giant-dominated labels of a supercritical draw the sort beats
     # bincount, and it needs no intp copy of f or n-length int64 counts
     ordered = f.copy()
@@ -337,7 +367,13 @@ def w_set(labeling: ComponentLabeling, threshold: int) -> WSet:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     big = np.zeros(labeling._vertex_labels.size, dtype=bool)
     big[labeling._component_labels[labeling.component_sizes >= threshold]] = True
-    members = big[labeling._vertex_labels]
+    # a gather by np.take (every label is a vertex, so clip mode moves
+    # none), ~2x faster than big[labels]; by _TASK ranges, since np.take
+    # copies its whole index to intp (128 MB at d = 24)
+    labels = labeling._vertex_labels
+    members = np.empty(labels.size, dtype=bool)
+    for s in _tasks(labels.size, 1):
+        big.take(labels[s], out=members[s], mode="clip")
     return WSet(members=members, density=np.count_nonzero(members) / members.size)
 
 
@@ -368,6 +404,14 @@ def _or_flipped(out: np.ndarray, words: np.ndarray, i: int) -> None:
         out.reshape(blocks)[...] |= words.reshape(blocks)[:, ::-1, :]
 
 
+def _packed(mask: np.ndarray) -> np.ndarray:
+    # the vertex set of a boolean mask as little-endian uint64 words, vertex
+    # v at bit v % 64 of word v // 64, zero-padded to at least one word
+    words = np.zeros(max(mask.size, 64) // 64, dtype="<u8")
+    words.view(np.uint8)[:(mask.size + 7) // 8] = np.packbits(mask, bitorder="little")
+    return words
+
+
 def distance_to_set(g: CubeGraph, members: np.ndarray) -> tuple[np.ndarray, int]:
     """Multi-source BFS distances in the FULL cube from the member set, given
     as a boolean mask of shape (2^d,).
@@ -376,35 +420,39 @@ def distance_to_set(g: CubeGraph, members: np.ndarray) -> tuple[np.ndarray, int]
     percolated subgraph plays no role here; this measures how well the set
     spreads through Q^d itself.
 
-    The frontier and the visited set are packed, vertex v at bit v % 64 of
+    The frontier and the unseen set are packed, vertex v at bit v % 64 of
     uint64 word v // 64, with n padded to at least one word.  A flip in
     direction i < 6 is a masked shift inside each word; one in direction
     i >= 6 swaps blocks of 2^(i-6) words.  Bits at or above n are never set,
     since each flip maps [0, 2^d) to itself.
+
+    The distances are counted, not stored level by level: dist[v] is the
+    number of BFS levels k >= 0 at which v is still unseen, because v is
+    unseen exactly at the levels k < dist(v).  So dist starts as ~members
+    (level 0) and adds the unpacked unseen set after each new level, one
+    branch-free pass each, where a masked store dist[new] = k would take
+    numpy's boolean-index path.  The level that empties the unseen set adds
+    nothing and is skipped.
     """
     if not isinstance(members, np.ndarray) or members.dtype != bool or members.shape != (g.n,):
         raise ValueError(f"members must be a boolean mask of shape ({g.n},)")
     if not members.any():
         raise ValueError("member set must be nonempty")
-    dist = np.full(g.n, -1, dtype=np.int32)
-    dist[members] = 0
-    packed = np.zeros(max(g.n, 64) // 8, dtype=np.uint8)
-    packed[:(g.n + 7) // 8] = np.packbits(members, bitorder="little")
-    frontier = packed.view("<u8")
-    seen = frontier.copy()
+    dist = (~members).astype(np.int32)
+    frontier, unseen = _packed(members), _packed(~members)
     nbr = np.empty_like(frontier)
     level = 0
-    while True:
+    while unseen.any():
         nbr[:] = 0
         for i in range(g.d):
             _or_flipped(nbr, frontier, i)
-        nbr &= ~seen
-        if not nbr.any():
-            return dist, level
+        nbr &= unseen
+        unseen ^= nbr
         level += 1
-        seen |= nbr
-        dist[np.unpackbits(nbr.view(np.uint8), count=g.n, bitorder="little").view(bool)] = level
+        if unseen.any():
+            dist += np.unpackbits(unseen.view(np.uint8), count=g.n, bitorder="little")
         frontier, nbr = nbr, frontier
+    return dist, level
 
 
 def write_histogram_csv(labeling: ComponentLabeling, path) -> None:

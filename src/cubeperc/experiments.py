@@ -113,7 +113,7 @@ def _sprinkling_trial(args, threads: int = 1) -> dict:
     w1 = w_set(labeling1, w_threshold)
     w1_size = int(np.count_nonzero(w1.members))
     w1_components = int(np.count_nonzero(labeling1.component_sizes >= w_threshold))
-    union_labels = labeling_u.labels[w1.members]
+    union_labels = labeling_u._vertex_labels.compress(w1.members)  # int32, no int64 copy
     merged = int(union_labels.min() == union_labels.max()) if w1_size else 1  # vacuously: nothing to merge
     union_open = labeling_u.open_edges
     return {

@@ -289,8 +289,9 @@ def write_sample(sample: EdgeSample, path) -> None:
 
 
 def read_sample(path) -> EdgeSample:
-    """Inverse of write_sample; rejects a dump whose header is out of range or
-    whose length is not exactly header + ceil(m/8) bytes."""
+    """Inverse of write_sample; rejects a dump whose header is out of range,
+    whose length is not exactly header + ceil(m/8) bytes, or whose last byte
+    sets a padding bit past the m edge bits (possible for d <= 3)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _DUMP_HEADER.size:
@@ -304,6 +305,8 @@ def read_sample(path) -> EdgeSample:
     expected = _DUMP_HEADER.size + (m + 7) // 8
     if len(raw) != expected:
         raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} for a d={d} dump")
+    if m % 8 and raw[-1] >> (m % 8):
+        raise ValueError(f"{path}: padding bits past the {m} edge bits are set")
     packed = np.frombuffer(raw, dtype=np.uint8, offset=_DUMP_HEADER.size)
     mask = np.unpackbits(packed, count=m, bitorder="little").astype(bool)
     return EdgeSample(d=d, p=p, open_mask=mask, key=SampleKey(seed, trial, round_))

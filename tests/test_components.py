@@ -281,6 +281,50 @@ def test_label_bases_on_both_sides_of_direct(d, p, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize(
+    "d, p, closed, per_direction",
+    [
+        (8, 0.2, None, False),  # 205 open edges: one list of all endpoints
+        (8, 0.2, 3, False),
+        (13, 0.6, None, True),  # ~2460 open edges per direction
+        (13, 0.6, 0, True),
+        (13, 0.6, 12, True),
+        (9, 0.0, None, False),
+        (9, 1.0, None, False),  # 256 per direction
+        (12, 1.0, None, True),  # 2048 = _DIRECT per direction
+    ],
+)
+def test_first_relabel_per_direction(monkeypatch, d, p, closed, per_direction, threads):
+    # the first relabel on both sides of _DIRECT open edges per direction,
+    # with a direction that has no open edge, and at p = 0 and 1; the
+    # caller's base arrays come back unchanged
+    calls = Counter()
+    real = components._relabel_direction
+
+    def counting(f, i, u):
+        calls[i] += 1
+        return real(f, i, u)
+
+    monkeypatch.setattr(components, "_relabel_direction", counting)
+    g = CubeGraph(d)
+    mask = sample_edges(g, SampleKey(2**41 + d, 3), p).open_mask.copy()
+    rows = mask.reshape(d, -1)
+    if closed is not None:
+        rows[closed] = False
+    bases = [direction_bases(row, i) for i, row in enumerate(rows)]
+    kept = [u.copy() for u in bases]
+    lab = label_bases(g, bases, threads)
+    assert calls == (Counter(range(d)) if per_direction else Counter())
+    assert all(np.array_equal(u, k) and u.dtype == k.dtype for u, k in zip(bases, kept))
+    oracle = _bfs_labels(g, mask)
+    sizes = Counter(oracle)
+    ranked = sorted(sizes.values(), reverse=True) + [0]
+    assert lab.labels.tolist() == oracle
+    assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
+    assert (lab.l1, lab.l2, lab.n_components, lab.open_edges) == (ranked[0], ranked[1], len(sizes), mask.sum())
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("d", [17, 18])
 def test_label_sample_equal_across_thread_counts(d, threads):
     # a direction's counters fill whole sampling passes, and the jumps and
@@ -594,7 +638,19 @@ def test_distance_takes_only_a_full_boolean_mask(members):
         distance_to_set(CubeGraph(3), members)
 
 
-@pytest.mark.parametrize("d", range(1, 11))  # d < 6 pads the single word
+def test_distance_single_source_counts_sixteen_levels():
+    # every vertex's distance from one source is its Hamming distance, so
+    # the count runs over all 16 levels, one per bit
+    g = CubeGraph(16)
+    u = 0b1010_0110_0101_1001
+    dist, mx = distance_to_set(g, np.arange(g.n) == u)
+    popcount = np.unpackbits((np.arange(g.n, dtype=">u4") ^ u).view(np.uint8)).reshape(g.n, -1).sum(axis=1)
+    assert mx == 16
+    assert dist.dtype == np.int32
+    assert np.array_equal(dist, popcount)
+
+
+@pytest.mark.parametrize("d", range(1, 13))  # d < 6 pads the single word
 def test_distance_matches_bool_reference(d):
     g = CubeGraph(d)
     rng = np.random.default_rng(d)

@@ -397,6 +397,19 @@ def test_binary_dump_trailing_byte_rejected(tmp_path):
         read_sample(path)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_binary_dump_padding_bit_rejected(tmp_path, d):
+    # m = 1, 4, 12 leaves padding bits in the last byte; a dump with one of
+    # them set would read back as a sample that writes different bytes
+    path, raw = _dump(tmp_path, d)
+    m = d << (d - 1)
+    assert read_sample(path).open_mask.size == m
+    for bit in (m % 8, 7):
+        path.write_bytes(raw[:-1] + bytes([raw[-1] | 1 << bit]))
+        with pytest.raises(ValueError, match=f"{path.name}.*padding"):
+            read_sample(path)
+
+
 @pytest.mark.parametrize("d,p", [(0, 0.5), (31, 0.5), (4, 1.5), (4, -0.1), (4, float("nan"))])
 def test_binary_dump_header_out_of_range_rejected(tmp_path, d, p):
     path, raw = _dump(tmp_path)

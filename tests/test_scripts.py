@@ -1,5 +1,6 @@
-"""Smoke tests: each study script runs to completion at tiny sizes, and the
-package API that ``perfbench/`` calls is still there at d = 4."""
+"""Smoke tests: each study script runs to completion at tiny sizes, the
+package API that ``perfbench/`` calls is still there at d = 4, and the
+benchmark-pairs tool plans its runs in alternating order."""
 
 import os
 import subprocess
@@ -62,3 +63,25 @@ def test_perfbench_api_surface(tmp_path):
         cp.write_report(report, tmp_path / f"{kind}.json", "json")
         assert [row["trial"] for row in report.rows] == [0, 1]
     assert cp.__version__
+
+
+def test_bench_pairs_dry_run_alternates(tmp_path):
+    # the parent runs first on odd pairs, the change on even ones; a dry run
+    # only prints the order
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--dry-run",
+         "--parent", "HEAD", "--workload", "giant-d20", "--seeds", "41", "42", "43", "44", "45"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "parent 41", "change 41",
+        "change 42", "parent 42",
+        "parent 43", "change 43",
+        "change 44", "parent 44",
+        "parent 45", "change 45",
+        "",
+    ]
