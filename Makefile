@@ -5,10 +5,15 @@
 # make pairs PARENT=<rev> WORKLOAD=<w> SEEDS="41 42 …"
 #             alternating perfbench runs of the parent revision and the
 #             working tree, one pair per seed (scripts/bench_pairs.py)
+# make footprint PARENT=<rev> D=24 SEEDS="1 2 3 4"
+#             alternating fresh-process `cubeperc sim --d D --p 2/D` runs of
+#             the parent revision and the working tree: wall time and peak
+#             RSS per run (scripts/footprint.py)
 
 WORKLOADS = giant-d20 explore-d20 sweep-d14
+D = 24
 
-.PHONY: test check pairs
+.PHONY: test check pairs footprint
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -27,3 +32,6 @@ check: test
 
 pairs:
 	python3 scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" --seeds $(SEEDS)
+
+footprint:
+	python3 scripts/footprint.py --parent "$(PARENT)" --d "$(D)" --seeds $(SEEDS)

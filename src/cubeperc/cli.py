@@ -2,13 +2,16 @@
 
 Machine output (JSON, CSV) goes to stdout; human-readable notes and the
 trial counter go to stderr.  Exit codes: 0 success, 1 config/input error,
-2 capacity/internal error.
+2 capacity/internal error.  A config file that cannot be read and a report
+or histogram that cannot be written are input errors, and an output path
+whose directory does not exist is refused before any sampling.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -48,6 +51,23 @@ def _seed(text: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"--seed takes an integer or 'random', got {text!r}") from None
+
+
+def _io(fn, *args):
+    # fn(*args) with an OSError (a missing config, an unwritable output) as
+    # an input error
+    try:
+        return fn(*args)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _check_out_dir(path) -> None:
+    # refuse an output path whose directory does not exist, before the run
+    # that would write it
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"no such directory for the output {path!r}: {folder!r}")
 
 
 def _emit(doc: dict) -> None:
@@ -92,6 +112,8 @@ def cmd_sim(args) -> int:
     g = CubeGraph(args.d)
     if not 0.0 <= args.p <= 1.0:
         raise ConfigError(f"--p must lie in [0, 1], got {args.p}")
+    if args.hist:
+        _check_out_dir(args.hist)
     labeling = label_sample(g, SampleKey(args.seed, args.trial, 0), args.p, thread_count(args.d))
     print(
         f"Q^{args.d} at p={args.p}: l1={labeling.l1} l2={labeling.l2} "
@@ -100,7 +122,7 @@ def cmd_sim(args) -> int:
         file=sys.stderr,
     )
     if args.hist:
-        write_histogram_csv(labeling, args.hist)
+        _io(write_histogram_csv, labeling, args.hist)
         print(f"histogram written to {args.hist}", file=sys.stderr)
     _emit(
         {
@@ -121,18 +143,20 @@ def cmd_experiment(args) -> int:
     cpus = usable_cpus()
     if not 1 <= args.workers <= cpus:
         raise ConfigError(f"--workers must lie in [1, {cpus}] (the usable CPU count), got {args.workers}")
-    mapping = parse_config_file(args.config) if args.config else {}
+    mapping = _io(parse_config_file, args.config) if args.config else {}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name) is not None:
             mapping[f.name] = getattr(args, f.name)
     cfg = ExperimentConfig.from_mapping(mapping)
+    if cfg.out:
+        _check_out_dir(cfg.out)
 
     def counter(done, total):
         print(f"trial {done}/{total}", file=sys.stderr)
 
     report = run_experiment(cfg, workers=args.workers, on_trial=counter if args.progress else None)
     if cfg.out:
-        write_report(report, cfg.out, cfg.format)
+        _io(write_report, report, cfg.out, cfg.format)
         print(f"report written to {cfg.out} ({cfg.format})", file=sys.stderr)
     _emit({"config": report.config, "theory": report.theory, "aggregates": report.aggregates})
     return 0

@@ -353,6 +353,43 @@ def test_internal_error_exit_two(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_missing_config_file_exit_one(capsys, tmp_path):
+    code, out, err = _run(capsys, "experiment", "--config", str(tmp_path / "missing.cfg"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "missing.cfg" in err
+
+
+def test_report_in_missing_directory_refused_before_the_run(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "r.json"
+    code, out, err = _run(
+        capsys, "experiment", "--kind", "gw", "--d", "3", "--c", "2", "--trials", "2", "--progress", "--out", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "missing-dir" in err
+    assert "trial" not in err and not path.parent.exists()
+
+
+def test_histogram_in_missing_directory_refused_before_sampling(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "h.csv"
+    code, out, err = _run(capsys, "sim", "--d", "4", "--p", "0.5", "--hist", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "missing-dir" in err
+    assert "l1=" not in err  # no labeling summary: nothing was sampled
+
+
+@pytest.mark.parametrize("command", ["experiment", "sim"])
+def test_unwritable_output_exit_one(capsys, tmp_path, command):
+    # the directory exists but the path is itself a directory: the write
+    # fails after the run, as an input error
+    argv = {
+        "experiment": ["experiment", "--kind", "gw", "--d", "3", "--c", "2", "--trials", "2", "--out", str(tmp_path)],
+        "sim": ["sim", "--d", "4", "--p", "0.5", "--hist", str(tmp_path)],
+    }[command]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error: " in err and "internal error" not in err
+
+
 def test_stdout_is_json_only(capsys):
     for argv in (
         ["theory", "--c", "2"],

@@ -383,25 +383,114 @@ def test_split_covers_in_order():
 
 
 def test_jump_ranges_partition_the_vertices(monkeypatch):
-    # every jump step hands the pool the same ranges, and they partition
-    # [0, n): an overlap would write some labels twice (harmlessly, so no
-    # labeling shows it), a gap would leave some unjumped
+    # every jump step over an array hands the pool the same ranges, and they
+    # partition the array: an overlap would write some labels twice
+    # (harmlessly, so no labeling shows it), a gap would leave some
+    # unjumped.  The first jump spans [0, n); every later one spans the k < n
+    # root ids of the contracted rounds
     import cubeperc.components as components
 
-    seen = Counter()
+    seen = {}
     real = components._jump_range
 
     def recording(f, out, s):
-        seen[s.start, s.stop] += 1
+        seen.setdefault(f.size, Counter())[s.start, s.stop] += 1
         return real(f, out, s)
 
     monkeypatch.setattr(components, "_jump_range", recording)
     g = CubeGraph(19)
     label_sample(g, SampleKey(8), 2 / 19, 2)
-    ranges = sorted(seen)
-    assert len(ranges) >= 2 and len(set(seen.values())) == 1
-    assert ranges[0][0] == 0 and ranges[-1][1] == g.n
-    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    sizes = sorted(seen, reverse=True)
+    assert len(sizes) == 2 and sizes[0] == g.n and 0 < sizes[1] < g.n
+    for size, steps in seen.items():
+        ranges = sorted(steps)
+        assert len(ranges) >= 2 and len(set(steps.values())) == 1
+        assert ranges[0][0] == 0 and ranges[-1][1] == size
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def _gray_mask(g):
+    # the reflected Gray code's Hamiltonian path through Q^d: one component
+    # spanned by one long path, which takes many hooking rounds
+    mask = np.zeros(g.m, dtype=bool)
+    for k in range(g.n - 1):
+        a, b = k ^ (k >> 1), (k + 1) ^ ((k + 1) >> 1)
+        mask[edge_index(g, EdgeRef(min(a, b), (a ^ b).bit_length() - 1))] = True
+    return mask
+
+
+# (d, p, trial, later rounds): None where any count is right
+_CONTRACTED = [(d, p, 5, None) for d in (2, 5, 10, 12, 16) for p in sorted({1 / d, 2 / d, 0.5} - {1.0})]
+_CONTRACTED += [(d, p, 5, 0) for d in (2, 5, 10, 12, 16) for p in (0.0, 1.0)]  # k = n; one root
+_CONTRACTED += [(5, 1 / 5, 8, 0), (10, "gray", 0, 3), (12, "gray", 0, 3)]  # 15 open edges, no pair left
+
+
+@pytest.mark.parametrize("d, p, trial, later", _CONTRACTED)
+def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, later):
+    # the rounds after the first jump run on the k root ids: the labeling is
+    # the BFS oracle's on every thread count and range split, and the
+    # caller's bases come back unchanged.  No later round runs at p = 0
+    # (k = n), at p = 1 (one root) or where the first relabel joins every
+    # pair, and the Gray-code path takes at least three
+    rounds, roots = Counter(), []
+    real_jump, real_compact = components._jump, components._compact
+
+    def jump(pool, f, threads):
+        rounds[f.size < g.n] += 1
+        return real_jump(pool, f, threads)
+
+    def compact(pool, f, threads):
+        k, bits = real_compact(pool, f, threads)
+        roots.append(k)
+        return k, bits
+
+    monkeypatch.setattr(components, "_jump", jump)
+    monkeypatch.setattr(components, "_compact", compact)
+    g = CubeGraph(d)
+    mask = _gray_mask(g) if p == "gray" else sample_edges(g, SampleKey(2**35 + d, trial), p).open_mask
+    bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
+    kept = [u.copy() for u in bases]
+    oracle = _bfs_labels(g, mask)
+    sizes = Counter(oracle)
+    ranked = sorted(sizes.values(), reverse=True) + [0]
+    for threads, task in [(1, None), (2, None), (3, None), (1, 1 << 9), (2, 1 << 9)]:
+        rounds.clear()
+        roots.clear()
+        # with _TASK at 2^9 every pass of a cube from d = 10 on runs over
+        # several ranges, as a large cube's do
+        with mock.patch.multiple(components, _TASK=task or components._TASK, _DIRECT=0 if task else components._DIRECT):
+            lab = label_bases(g, bases, threads)
+        assert lab.labels.tolist() == oracle
+        assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
+        assert (lab.l1, lab.l2, lab.n_components, lab.open_edges) == (ranked[0], ranked[1], len(sizes), mask.sum())
+        assert all(np.array_equal(u, k) and u.dtype == k.dtype for u, k in zip(bases, kept))
+        assert rounds[False] == 1 and len(roots) == 1  # one jump and one contraction over n
+        assert roots[0] == {0.0: g.n, 1.0: 1}.get(p, roots[0])
+        if later == 0:
+            assert rounds[True] == 0
+        elif later is not None:
+            assert rounds[True] >= later
+
+
+def test_label_sample_footprint_d16():
+    # the traced peak of a one-thread d = 16 labeling: the contraction adds
+    # no n-length array beside those of the first jump (f, the spare, the
+    # bases and a range's intp index), and the roots stay packed while the
+    # bases are alive.  Measured 1_315_756 B before the contraction and
+    # 1_315_916 B with it (numpy 2.4.6); the 4 KB of slack covers Python
+    # objects and is half of the smallest per-vertex array, a d = 16 bitmap
+    import tracemalloc
+
+    bound = 1_315_756 + 4096
+    g = CubeGraph(16)
+    label_sample(CubeGraph(10), SampleKey(0), 0.2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        label_sample(g, SampleKey(0), 2 / 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_sprinkling_rows_equal_across_thread_counts():
@@ -411,13 +500,8 @@ def test_sprinkling_rows_equal_across_thread_counts():
 
 
 def test_label_gray_code_hamiltonian_path():
-    # the reflected Gray code walks all of Q^10 one edge at a time: a single
-    # component spanned by one long path, which takes many hooking rounds
     g = CubeGraph(10)
-    mask = np.zeros(g.m, dtype=bool)
-    for k in range(g.n - 1):
-        a, b = k ^ (k >> 1), (k + 1) ^ ((k + 1) >> 1)
-        mask[edge_index(g, EdgeRef(min(a, b), (a ^ b).bit_length() - 1))] = True
+    mask = _gray_mask(g)
     assert mask.sum() == g.n - 1
     lab = _assert_matches_closure(g, mask)
     assert lab.n_components == 1 and not lab.labels.any()

@@ -1,6 +1,6 @@
 """Smoke tests: each study script runs to completion at tiny sizes, the
 package API that ``perfbench/`` calls is still there at d = 4, and the
-benchmark-pairs tool plans its runs in alternating order."""
+benchmark-pairs and footprint tools plan their runs in alternating order."""
 
 import os
 import subprocess
@@ -85,3 +85,18 @@ def test_bench_pairs_dry_run_alternates(tmp_path):
         "parent 45", "change 45",
         "",
     ]
+
+
+def test_footprint_dry_run_alternates(tmp_path):
+    # the same order as the benchmark pairs; a dry run starts no process and
+    # sets up no tree, so even a revision that does not exist is not read
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "footprint.py"), "--dry-run",
+         "--parent", "no-such-revision", "--d", "24", "--seeds", "7", "8", "9"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["parent 7", "change 7", "change 8", "parent 8", "parent 9", "change 9", ""]
