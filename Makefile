@@ -9,11 +9,17 @@
 #             alternating fresh-process `cubeperc sim --d D --p 2/D` runs of
 #             the parent revision and the working tree: wall time and peak
 #             RSS per run (scripts/footprint.py)
+# make trials PARENT=<rev> D="16 17 18 19 20" N=60
+#             alternating in-process supercritical trials of the parent
+#             revision and the working tree at each d, each on its own
+#             thread count: median ms, speedup and wins per d
+#             (scripts/trial_pairs.py)
 
 WORKLOADS = giant-d20 explore-d20 sweep-d14
 D = 24
+N = 60
 
-.PHONY: test check pairs footprint
+.PHONY: test check pairs footprint trials
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -35,3 +41,6 @@ pairs:
 
 footprint:
 	python3 scripts/footprint.py --parent "$(PARENT)" --d "$(D)" --seeds $(SEEDS)
+
+trials:
+	python3 scripts/trial_pairs.py --parent "$(PARENT)" --d $(D) --n $(N)

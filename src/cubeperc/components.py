@@ -7,14 +7,18 @@ never holds the m-length edge mask (``label_sample``).  Local structure is
 probed by a capped BFS exploration that consumes one random bit per edge,
 and distances to a vertex set run as a BFS on bit-packed frontiers.
 
-A labeling may run on several threads (``thread_count`` picks how many);
-numpy releases the interpreter lock inside its kernels.  The sampling splits
-by consecutive ranges of directions, one buffer per thread, and each pointer
-jump and each relabel of the label pairs by consecutive index ranges of at
-most ``_TASK`` entries, joined in order.  The counters are keyed and the
-labels canonical, so no bit and no label depends on the split.  The hooks
-(np.minimum.at), the first relabel where it runs per direction, the root
-numbering, the final sort and the statistics run on one thread.
+One size, ``_TASK``, rules the labeling's ranges and threads.  Every
+ranged pass (a pointer jump, a relabel of the label pairs, a gather) cuts
+its array into consecutive ranges of at most ``_TASK`` entries, joined in
+order: an array of one range is one call on the calling thread, one of
+several ranges is mapped on the labeling's pool.  A labeling runs on
+several threads (``thread_count`` picks how many) only when its cube fills
+more than two ranges, d >= 19; numpy releases the interpreter lock inside
+its kernels.  The sampling then splits by consecutive ranges of directions,
+one buffer per thread.  The counters are keyed and the labels canonical, so
+no bit and no label depends on the split.  The hooks (np.minimum.at), the
+first relabel where it runs per direction, the root numbering, the final
+sort and the statistics run on one thread.
 
 Only the first hook and jump of a labeling run on n-length label arrays.
 The labeling then contracts onto that jump's k roots: the first relabel
@@ -36,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .hypercube import CubeGraph, direction_bases
-from .sampler import _PASS, EdgeSample, SampleKey, sample_directions
+from .sampler import EdgeSample, SampleKey, sample_directions
 
 
 @dataclass
@@ -74,6 +78,14 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The longest index range that one pass hands a thread.  Tasks of 2^17
+# entries keep a thread in native code for about half a millisecond and the
+# intp copy that np.take makes of their index at 1 MB; the pool hands them
+# out to whichever thread is free.  The gathers are np.take in clip mode,
+# which every label, a vertex, leaves alone: it skips the per-index check
+# and gathers ~1.5x faster than f[idx].
+_TASK = 1 << 17
+
 # The most threads one labeling uses.  The split was measured on 2 CPUs only;
 # raise this once a host with more has been benchmarked.
 _MAX_THREADS = 2
@@ -81,11 +93,16 @@ _MAX_THREADS = 2
 
 def thread_count(d: int, processes: int = 1) -> int:
     """Threads for one labeling of Q^d while ``processes`` trials run side
-    by side: the CPUs left to each process, ``usable_cpus() // processes``,
-    at most ``_MAX_THREADS``, or 1 when one direction's 2^(d-1) counters are
-    fewer than one sampling pass, where a trial is too short for threads to
-    pay."""
-    if 1 << (d - 1) < _PASS:
+    by side: 1 when the 2^d vertices fill at most two ``_TASK`` ranges
+    (d <= 18), else the CPUs left to each process,
+    ``usable_cpus() // processes``, at most ``_MAX_THREADS``.
+
+    Whole supercritical trials at c = 2 on 2 CPUs, two threads against one
+    (median per-draw ratios, ``BENCH_16.json``): d = 16 0.83x, d = 17
+    0.85x, d = 18 0.94-0.99x, d = 19 1.01-1.02x and d = 20 1.19x.  The
+    former rule, two threads from d = 16, left d = 16, 17 and 18 trials
+    1.78x, 1.39x and 1.17x slower than this one (``make trials``)."""
+    if 1 << d <= 2 * _TASK:
         return 1
     return max(1, min(_MAX_THREADS, usable_cpus() // processes))
 
@@ -114,29 +131,18 @@ def _split(n: int, parts: int) -> list[slice]:
     return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-# The longest index range that one task gathers over.  Tasks of a
-# quarter million entries keep a thread in native code for about a
-# millisecond and the intp copy that np.take makes of their index at 2 MB;
-# the pool hands them out to whichever thread is free.  The gathers are
-# np.take in clip mode, which every label, a vertex, leaves alone: it skips
-# the per-index check and gathers ~1.5x faster than f[idx].
-_TASK = 1 << 18
-
-# Below this many entries a gather is one range, called directly: mapping
-# tasks costs more than the gathers of a small cube, where no thread pays.
-_DIRECT = 1 << 11
+def _tasks(n: int) -> list[slice]:
+    # [0, n) as near-equal consecutive ranges of at most _TASK entries; one
+    # range without _split's arithmetic, which a small cube would feel
+    return [slice(0, n)] if n <= _TASK else _split(n, -(-n // _TASK))
 
 
-def _tasks(n: int, threads: int) -> list[slice]:
-    return _split(n, max(threads, -(-n // _TASK)))
-
-
-def _map_ranges(pool, fn: Callable[[slice], object], n: int, threads: int) -> list:
-    # fn over the index ranges of [0, n), results in range order: one direct
-    # call below _DIRECT entries, else ``pool`` maps it over ``_tasks``
-    if n < _DIRECT:
+def _map_ranges(pool, fn: Callable[[slice], object], n: int) -> list:
+    # fn over the ranges of [0, n), results in range order: one range is
+    # one direct call on this thread, several are mapped on ``pool``
+    if n <= _TASK:
         return [fn(slice(None))]
-    return list(pool.map(fn, _tasks(n, threads)))
+    return list(pool.map(fn, _tasks(n)))
 
 
 def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
@@ -147,10 +153,10 @@ def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
     return int(np.count_nonzero(outs != fs))
 
 
-def _jump(pool, f: np.ndarray, threads: int) -> np.ndarray:
+def _jump(pool, f: np.ndarray) -> np.ndarray:
     # f jumped to its fixed point f = f[f], by ranges into a second array
     nxt = np.empty_like(f)
-    while sum(_map_ranges(pool, partial(_jump_range, f, nxt), f.size, threads)):
+    while sum(_map_ranges(pool, partial(_jump_range, f, nxt), f.size)):
         f, nxt = nxt, f
     return f
 
@@ -190,12 +196,6 @@ def _gather_range(src: np.ndarray, idx: np.ndarray, s: slice) -> None:
     src.take(idx[s], out=idx[s], mode="clip")
 
 
-def _ranges(n: int) -> list[slice]:
-    # the ranges of a sequential pass over [0, n) on this thread: one below
-    # _DIRECT entries, else _TASK ranges
-    return [slice(0, n)] if n < _DIRECT else _tasks(n, 1)
-
-
 def _rank_range(f: np.ndarray, rank: np.ndarray, k: int, s: slice) -> int:
     # ids k, k + 1, ... to the roots (f[x] = x) of a vertex range, in order;
     # returns how many there are.  Its temporaries die on return, before the
@@ -207,7 +207,7 @@ def _rank_range(f: np.ndarray, rank: np.ndarray, k: int, s: slice) -> int:
     return at.size
 
 
-def _compact(pool, f: np.ndarray, threads: int) -> tuple[int, list]:
+def _compact(pool, f: np.ndarray) -> tuple[int, list]:
     # number the k roots (f[x] = x) of the star f 0..k-1 in increasing
     # order, then map f in place, by ranges, to each vertex's root id.
     # Returns k and the roots as bitmaps per range, (range, packed bits),
@@ -216,10 +216,10 @@ def _compact(pool, f: np.ndarray, threads: int) -> tuple[int, list]:
     # numbering is one sequential pass over f by ranges on this thread
     rank = ~f  # -f - 1 < 0 until a root's id is written
     k = 0
-    for s in _ranges(f.size):
+    for s in _tasks(f.size):
         k += _rank_range(f, rank, k, s)
-    _map_ranges(pool, partial(_gather_range, rank, f), f.size, threads)
-    return k, [(s, np.packbits(rank[s] >= 0)) for s in _ranges(f.size)]
+    _map_ranges(pool, partial(_gather_range, rank, f), f.size)
+    return k, [(s, np.packbits(rank[s] >= 0)) for s in _tasks(f.size)]
 
 
 def _roots(bits: list, k: int) -> np.ndarray:
@@ -235,6 +235,12 @@ def _roots(bits: list, k: int) -> np.ndarray:
         roots[j:j + at.size] = at
         j += at.size
     return roots
+
+
+# Below this many open edges per direction on average, the first relabel
+# joins the endpoints into one pair list: a call per direction costs more
+# than it saves (``label_bases``).
+_DIRECT = 1 << 11
 
 
 def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> ComponentLabeling:
@@ -299,10 +305,13 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     component's minimum vertex.  The component sizes are counted from the
     sorted labels.
 
-    The gathers run over disjoint index ranges of at most ``_TASK``
-    entries, on a thread pool when ``threads`` > 1 (below ``_DIRECT``
-    entries, as one range called directly), and the result is the same to
-    the byte for any thread count.  A jump writes nxt[a:b] = f[f[a:b]] for
+    ``threads`` only sizes the pool.  Each gather runs over near-equal
+    disjoint index ranges of at most ``_TASK`` entries: one range is called
+    directly on this thread, several are mapped on the pool, and the result
+    is the same to the byte for any thread count.  ``thread_count`` asks
+    for threads only from d = 19, where a cube fills more than two ranges;
+    below that the second core does not pay for the pool and the split
+    sampling.  A jump writes nxt[a:b] = f[f[a:b]] for
     consecutive vertex ranges into an array that no range reads, and swaps
     the two arrays only after every range is done, so it is f[f] in pieces.
     The relabels and their filters of the unjoined pairs run per
@@ -318,11 +327,11 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
         for i, u in enumerate(bases):
             f[np.bitwise_or(u, 1 << i, dtype=np.intp)] = u
             open_edges += u.size
-        f = _jump(pool, f, threads)
-        k, bits = _compact(pool, f, threads)
+        f = _jump(pool, f)
+        k, bits = _compact(pool, f)
         if open_edges < _DIRECT * len(bases):  # small directions: one list of all endpoints
             lu, lv = np.concatenate(bases), np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
-            parts = _map_ranges(pool, partial(_relabel_range, f, lu, lv), lu.size, threads)
+            parts = _map_ranges(pool, partial(_relabel_range, f, lu, lv), lu.size)
         else:  # on this thread: see the docstring
             parts = list(map(partial(_relabel_direction, f), range(len(bases)), bases))
         del bases  # the only reference when the caller passes a fresh list
@@ -331,14 +340,14 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
         fk = np.arange(k, dtype=np.int32)  # labels of the root ids; after the join, see the docstring
         while lu.size:
             np.minimum.at(fk, np.maximum(lu, lv), np.minimum(lu, lv))
-            fk = _jump(pool, fk, threads)
-            parts = _map_ranges(pool, partial(_relabel_range, fk, lu, lv), lu.size, threads)
+            fk = _jump(pool, fk)
+            parts = _map_ranges(pool, partial(_relabel_range, fk, lu, lv), lu.size)
             del lu, lv
             lu, lv = _joined(parts)
             del parts
         # fk to the vertex of each root id's label, then f through fk
-        _map_ranges(pool, partial(_gather_range, _roots(bits, k), fk), k, threads)
-        _map_ranges(pool, partial(_gather_range, fk, f), g.n, threads)
+        _map_ranges(pool, partial(_gather_range, _roots(bits, k), fk), k)
+        _map_ranges(pool, partial(_gather_range, fk, f), g.n)
         del bits, fk, lu, lv
     # on the giant-dominated labels of a supercritical draw the sort beats
     # bincount, and it needs no intp copy of f or n-length int64 counts
@@ -473,7 +482,7 @@ def w_set(labeling: ComponentLabeling, threshold: int) -> WSet:
     # copies its whole index to intp (128 MB at d = 24)
     labels = labeling._vertex_labels
     members = np.empty(labels.size, dtype=bool)
-    for s in _tasks(labels.size, 1):
+    for s in _tasks(labels.size):
         big.take(labels[s], out=members[s], mode="clip")
     return WSet(members=members, density=np.count_nonzero(members) / members.size)
 

@@ -294,8 +294,10 @@ def _hitprob_aggregate(cfg: ExperimentConfig, rows) -> dict:
 class Kind(NamedTuple):
     """One experiment kind: the config field that sets its edge probability
     and that field's domain, the per-trial worker, the theory block and the
-    aggregate; whether its trials build Q^d (``cube``), read ``w_threshold``
-    and label the whole cube (``labels``: the worker takes ``threads``)."""
+    aggregate; whether its trials build Q^d (``cube``), the optional keys it
+    reads besides ``param`` (``reads``: another kind's key must be unset)
+    and whether it labels the whole cube (``labels``: the worker takes
+    ``threads``)."""
 
     param: str
     domain: str
@@ -304,7 +306,7 @@ class Kind(NamedTuple):
     theory: Callable[[ExperimentConfig], tuple[dict, tuple]]
     aggregate: Callable[[ExperimentConfig, list], dict]
     cube: bool
-    w_threshold: bool
+    reads: tuple[str, ...]
     labels: bool
 
 
@@ -312,13 +314,17 @@ _EXCEED_1 = ("c", "exceed 1", lambda c: c > 1.0)
 
 KINDS = {
     "supercritical": Kind(*_EXCEED_1, _supercritical_trial, _supercritical_theory, _supercritical_aggregate,
-                          True, True, True),
+                          True, ("w_threshold", "gap_lo", "gap_hi"), True),
     "subcritical": Kind("eps", "lie in (0, 1)", lambda e: 0.0 < e < 1.0,
-                        _subcritical_trial, _subcritical_theory, _subcritical_aggregate, True, False, True),
-    "sprinkling": Kind(*_EXCEED_1, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate, True, True, True),
-    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate, False, False, False),
-    "hitprob": Kind(*_EXCEED_1, _hitprob_trial, _hitprob_theory, _hitprob_aggregate, True, True, False),
+                        _subcritical_trial, _subcritical_theory, _subcritical_aggregate, True, (), True),
+    "sprinkling": Kind(*_EXCEED_1, _sprinkling_trial, _sprinkling_theory, _sprinkling_aggregate,
+                       True, ("w_threshold",), True),
+    "gw": Kind("c", "be nonnegative", lambda c: c >= 0.0, _gw_trial, _gw_theory, _gw_aggregate, False, (), False),
+    "hitprob": Kind(*_EXCEED_1, _hitprob_trial, _hitprob_theory, _hitprob_aggregate, True, ("w_threshold",), False),
 }
+
+# the keys that only some kinds read: each kind's param and optional keys
+_KIND_KEYS = sorted({key for k in KINDS.values() for key in (k.param, *k.reads)})
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +337,15 @@ _SCALAR_TYPES = {"int": int, "float": float, "str": str}
 def _is_int(x) -> bool:
     # bool is an int subclass, but True is no count or dimension
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _coerced(typ: type, value):
+    # a string parsed by ``typ``; a typed value only where that is exact: a
+    # ``typ`` itself, or an int for a float key.  A bool is refused for
+    # every key, though it is an int
+    if not isinstance(value, bool) and (isinstance(value, (str, typ)) or typ is float and isinstance(value, int)):
+        return typ(value)
+    raise ValueError(value)
 
 
 def config_field_type(f: Field) -> type:
@@ -391,12 +406,12 @@ class ExperimentConfig:
                 problems.append(f"{spec.param} must {spec.domain} for kind={self.kind}, got {value}")
             elif spec.param == "c" and _is_int(self.d) and self.d >= 2 and value / self.d > 1.0:
                 problems.append(f"c = {value} makes p = c/d = {value / self.d:.6g} exceed 1 for kind={self.kind}")
-            for other in sorted({k.param for k in KINDS.values()} - {spec.param}):
-                if getattr(self, other) is not None:
-                    problems.append(f"{other} must be unset for kind={self.kind}")
+            for other in _KIND_KEYS:
+                if other not in (spec.param, *spec.reads) and getattr(self, other) is not None:
+                    problems.append(f"{other} must be unset for kind={self.kind}, which does not read it")
             if _is_int(self.d) and 2 <= self.d <= MAX_DIMENSION:  # a larger d is refused below
                 w = self.resolved_w_threshold()  # the default d^2 exceeds 2^d at d = 3
-                if spec.w_threshold and w > self.n:
+                if "w_threshold" in spec.reads and w > self.n:
                     problems.append(f"w_threshold {w} exceeds 2^d = {self.n} for kind={self.kind}")
                 if self.kind == "sprinkling" and value is not None and self.p2_exponent > 0:
                     p2 = self.d ** -self.p2_exponent  # as the theory block computes it
@@ -443,8 +458,9 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         """Build a config from key -> value (strings from a config file, or
-        typed values); each value is coerced by its field's type, and None
-        leaves a field at its default."""
+        typed values); a string is coerced by its field's type, a typed
+        value passes only as that type or, for a float key, as an int (never
+        a bool), and None leaves a field at its default."""
         bad = sorted(k for k in mapping if k not in CONFIG_KEYS)
         if bad:
             raise ConfigError(f"unknown config keys: {', '.join(bad)}")
@@ -457,8 +473,8 @@ class ExperimentConfig:
                 continue
             typ = config_field_type(f)
             try:
-                kwargs[f.name] = typ(value)
-            except (TypeError, ValueError):
+                kwargs[f.name] = _coerced(typ, value)
+            except ValueError:
                 raise ConfigError(f"config key {f.name} must be of type {typ.__name__}, got {value!r}") from None
         return cls(**kwargs)
 

@@ -133,8 +133,11 @@ def _usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-# every usable CPU, up to the two that the split was measured on
-@pytest.mark.parametrize("cpus,d,threads", [(2, 16, 2), (3, 16, 2), (1, 16, 1), (2, 15, 1)])
+# every usable CPU, up to the two that the split was measured on, from
+# d = 19, where a cube fills more than two _TASK ranges
+@pytest.mark.parametrize(
+    "cpus,d,threads", [(2, 19, 2), (3, 19, 2), (1, 19, 1), (2, 18, 1), (1, 16, 1), (2, 15, 1)]
+)
 def test_sim_labels_on_every_cpu(capsys, monkeypatch, cpus, d, threads):
     import cubeperc.cli as cli_module
 
@@ -279,6 +282,34 @@ def test_experiment_rejects_zero_progeny_cap(capsys):
     assert code == 1
     assert out == ""
     assert "gw_progeny_cap" in err
+
+
+_OPTIONAL = {"w_threshold": "4", "gap_lo": "5", "gap_hi": "9"}
+# the optional keys that each kind does not read
+_UNREAD = {
+    "supercritical": [],
+    "subcritical": ["w_threshold", "gap_lo", "gap_hi"],
+    "sprinkling": ["gap_lo", "gap_hi"],
+    "gw": ["w_threshold", "gap_lo", "gap_hi"],
+    "hitprob": ["gap_lo", "gap_hi"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREAD))
+def test_experiment_refuses_keys_its_kind_ignores(capsys, kind):
+    # a key the kind does not read would be echoed into the report as a
+    # setting that did nothing: exit 1, naming the key and the kind; the
+    # keys it reads run
+    param = ["--eps", "0.3"] if kind == "subcritical" else ["--c", "2"]
+    base = ["experiment", "--kind", kind, "--d", "10", *param, "--trials", "1"]
+    for key in _UNREAD[kind]:
+        code, out, err = _run(capsys, *base, "--" + key.replace("_", "-"), _OPTIONAL[key])
+        assert code == 1 and out == ""
+        assert f"{key} must be unset for kind={kind}" in err
+    read = [key for key in _OPTIONAL if key not in _UNREAD[kind]]
+    code, out, _ = _run(capsys, *base, *[arg for key in read for arg in ("--" + key.replace("_", "-"), _OPTIONAL[key])])
+    assert code == 0
+    assert {key: json.loads(out)["config"][key] for key in read} == {key: int(_OPTIONAL[key]) for key in read}
 
 
 @pytest.mark.parametrize("kind", ["supercritical", "gw"])

@@ -1,6 +1,8 @@
 import sys
 import threading
 from collections import Counter, deque
+from contextlib import nullcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -229,8 +231,9 @@ def _all_fields(lab):
 @settings(max_examples=40, deadline=None)
 def test_label_bases_equal_across_thread_counts(d, seed, p):
     # uneven splits of the vertex and pair ranges give the serial labeling
-    # to the field, and that labeling is the closure oracle's; with _DIRECT
-    # at 0 every gather is mapped over ranges, as on a large cube
+    # to the field, and that labeling is the closure oracle's; with _TASK
+    # at 7 every gather of more than 7 entries is mapped over ranges, as on
+    # a large cube
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(seed), p).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
@@ -238,7 +241,7 @@ def test_label_bases_equal_across_thread_counts(d, seed, p):
     assert serial[7] == _closure_components(g, mask).tolist()
     for threads in (2, 3, 5):
         assert _all_fields(label_bases(g, bases, threads)) == serial
-    with mock.patch.object(components, "_DIRECT", 0):
+    with mock.patch.object(components, "_TASK", 7):
         for threads in (1, 2, 3, 5):
             assert _all_fields(label_bases(g, bases, threads)) == serial
 
@@ -267,11 +270,13 @@ def _bfs_labels(g, mask):
 @pytest.mark.parametrize("p", [0.1, 0.5])
 @pytest.mark.parametrize("d", [10, 11, 12])
 def test_label_bases_on_both_sides_of_direct(d, p, threads):
-    # n = 1024 < _DIRECT jumps in one direct call, n = 2048 and 4096 map
-    # their jumps over ranges; the pair lists fall on either side as well
+    # with _TASK at 2048, n = 1024 and 2048 jump in one direct call and
+    # n = 4096 maps its jumps over two ranges; the pair lists fall on
+    # either side as well
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
-    lab = label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
+    with mock.patch.object(components, "_TASK", 1 << 11):
+        lab = label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
     oracle = _bfs_labels(g, mask)
     sizes = Counter(oracle)
     ranked = sorted(sizes.values(), reverse=True) + [0]
@@ -376,10 +381,27 @@ def test_split_covers_in_order():
             lengths = [s.stop - s.start for s in slices]
             assert n == 0 or min(lengths) >= 1
             assert max(lengths) - min(lengths) <= 1
-    for n in (_TASK - 1, _TASK, 5 * _TASK + 3):
-        slices = _tasks(n, 2)
-        assert slices[-1].stop == n and all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-        assert len(slices) >= 2 and all(s.stop - s.start <= _TASK for s in slices)
+    # the passes' ranges: at most _TASK entries each, one range iff n <= _TASK
+    for n in (0, 1, _TASK - 1, _TASK, _TASK + 1, 2 * _TASK, 5 * _TASK + 3):
+        slices = _tasks(n)
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        assert all(s.stop - s.start <= _TASK for s in slices)
+        assert (len(slices) == 1) == (n <= _TASK)
+
+
+def test_one_range_passes_never_touch_the_pool(monkeypatch):
+    # at d = 10 every pass is one range of at most _TASK entries, called
+    # directly on the calling thread even when the labeling has a pool
+    def refuse(fn, ranges):
+        raise AssertionError("a one-range pass was mapped on the pool")
+
+    g = CubeGraph(10)
+    mask = sample_edges(g, SampleKey(2**36, 1), 2 / 10).open_mask
+    bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))]
+    serial = _all_fields(label_bases(g, bases))
+    monkeypatch.setattr(components, "_executor", lambda threads: nullcontext(SimpleNamespace(map=refuse)))
+    assert _all_fields(label_bases(g, bases, 2)) == serial
 
 
 def test_jump_ranges_partition_the_vertices(monkeypatch):
@@ -435,12 +457,12 @@ def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, later
     rounds, roots = Counter(), []
     real_jump, real_compact = components._jump, components._compact
 
-    def jump(pool, f, threads):
+    def jump(pool, f):
         rounds[f.size < g.n] += 1
-        return real_jump(pool, f, threads)
+        return real_jump(pool, f)
 
-    def compact(pool, f, threads):
-        k, bits = real_compact(pool, f, threads)
+    def compact(pool, f):
+        k, bits = real_compact(pool, f)
         roots.append(k)
         return k, bits
 
@@ -458,7 +480,7 @@ def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, later
         roots.clear()
         # with _TASK at 2^9 every pass of a cube from d = 10 on runs over
         # several ranges, as a large cube's do
-        with mock.patch.multiple(components, _TASK=task or components._TASK, _DIRECT=0 if task else components._DIRECT):
+        with mock.patch.object(components, "_TASK", task or components._TASK):
             lab = label_bases(g, bases, threads)
         assert lab.labels.tolist() == oracle
         assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]

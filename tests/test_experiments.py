@@ -101,6 +101,32 @@ def test_from_mapping_coerces_by_field_type():
     assert "c" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("d", 3.9),  # once truncated to d = 3
+        ("trials", True),  # once 1
+        ("c", True),  # once 1.0
+        ("gap_lo", 1.9),  # once 1, with gap_hi 9.99 once 9
+        ("gap_hi", 9.99),
+        ("seed", 2.0),
+        ("kind", 3),
+    ],
+)
+def test_from_mapping_refuses_inexact_typed_values(key, value):
+    # a typed value passes only where the coercion is exact; the error names the key
+    mapping = {"kind": "supercritical", "d": 10, "c": 2, "gap_lo": 1, "gap_hi": 9, key: value}
+    with pytest.raises(ConfigError, match=f"config key {key} must be of type"):
+        ExperimentConfig.from_mapping(mapping)
+
+
+def test_from_mapping_passes_exact_typed_values():
+    mapping = {"kind": "supercritical", "d": 10, "c": 2, "trials": 3, "gap_lo": 1, "gap_hi": 9}
+    cfg = ExperimentConfig.from_mapping(mapping)
+    assert (cfg.d, cfg.trials, cfg.gap_lo, cfg.gap_hi) == (10, 3, 1, 9)
+    assert cfg.c == 2.0 and type(cfg.c) is float  # an int is exact for a float key
+
+
 def _param(kind):
     return {KINDS[kind].param: 0.3 if KINDS[kind].param == "eps" else 2.0}
 
@@ -122,7 +148,7 @@ def test_config_rejects_trials_beyond_32_bit_index():
     assert "trials" in str(err.value)
 
 
-@pytest.mark.parametrize("kind", sorted(k for k in KINDS if KINDS[k].w_threshold))
+@pytest.mark.parametrize("kind", sorted(k for k in KINDS if "w_threshold" in KINDS[k].reads))
 def test_config_rejects_unreachable_w_threshold(kind):
     # neither the W-set nor the exploration cap can exceed n = 2^d
     ExperimentConfig(kind=kind, d=4, w_threshold=16, **_param(kind))
@@ -278,10 +304,12 @@ def _record_threads(monkeypatch, cpus):
 @pytest.mark.parametrize(
     "workers,trials,d,threads",
     [
-        (1, 2, 16, 2),  # one process: both CPUs label
-        (2, 2, 16, 1),  # two processes: one CPU each
-        (2, 1, 16, 2),  # one trial needs no pool, so its process has both
-        (1, 2, 15, 1),  # a direction's 2^14 counters fill no sampling pass
+        (1, 2, 19, 2),  # one process: both CPUs label
+        (2, 2, 19, 1),  # two processes: one CPU each
+        (2, 1, 19, 2),  # one trial needs no pool, so its process has both
+        (1, 2, 18, 1),  # 2^18 vertices fill only two _TASK ranges: one thread
+        (2, 2, 16, 1),  # and so does a smaller cube, on any number of processes
+        (1, 2, 15, 1),
     ],
 )
 def test_thread_count_rule(monkeypatch, workers, trials, d, threads):
@@ -301,8 +329,10 @@ def test_processes_times_threads_never_exceed_the_cpus(monkeypatch):
         for processes in range(1, cpus + 1):
             threads = experiments.thread_count(20, processes)
             assert 1 <= threads and processes * threads <= cpus
-        assert experiments.thread_count(20, 1) == min(cpus, 2)  # capped at the 2 measured
-        assert experiments.thread_count(15, 1) == 1
+        for d in (19, 20):
+            assert experiments.thread_count(d, 1) == min(cpus, 2)  # capped at the 2 measured
+        for d in (2, 15, 16, 17, 18):  # at most two _TASK ranges: one thread
+            assert experiments.thread_count(d, 1) == 1
 
 
 def test_usable_cpus_reads_the_affinity_set(monkeypatch):

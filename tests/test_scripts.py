@@ -1,6 +1,7 @@
 """Smoke tests: each study script runs to completion at tiny sizes, the
 package API that ``perfbench/`` calls is still there at d = 4, and the
-benchmark-pairs and footprint tools plan their runs in alternating order."""
+benchmark-pairs, footprint and trial-pairs tools plan their runs in
+alternating order."""
 
 import os
 import subprocess
@@ -100,3 +101,30 @@ def test_footprint_dry_run_alternates(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["parent 7", "change 7", "change 8", "parent 8", "parent 9", "change 9", ""]
+
+
+def test_trial_pairs_dry_run_alternates(tmp_path):
+    # per d, the parent times first on odd draws; a dry run sets up no tree
+    # (the revision does not exist) and imports neither numpy nor a package
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import trial_pairs; "
+        "trial_pairs.main(['--dry-run', '--parent', 'no-such-revision', '--d', '16', '19', '--n', '3']); "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'cubeperc'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "scripts")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "d 16 draw 0 parent", "d 16 draw 0 change",
+        "d 16 draw 1 change", "d 16 draw 1 parent",
+        "d 16 draw 2 parent", "d 16 draw 2 change",
+        "d 19 draw 0 parent", "d 19 draw 0 change",
+        "d 19 draw 1 change", "d 19 draw 1 parent",
+        "d 19 draw 2 parent", "d 19 draw 2 change",
+        "[]", "",
+    ]
