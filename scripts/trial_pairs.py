@@ -10,9 +10,9 @@ copies each tree's ``src/cubeperc`` into a temporary directory as the
 packages ``cubeperc_parent`` and ``cubeperc_change``.  The package imports
 itself only relatively, so both load side by side in this process.
 
-For each d it times N supercritical trials at p = c/d of each side,
-``_supercritical_trial((seed, draw, d, p, w_threshold, gap_lo, gap_hi),
-thread_count(d))`` with each side's own theory block and thread count, after
+For each d it times N supercritical trials at p = 2/d of each side (``C``,
+seed ``SEED``), ``_supercritical_trial((seed, draw, d, p, w_threshold,
+gap_lo, gap_hi), thread_count(d))`` with each side's own theory block and thread count, after
 one untimed warm-up call of each.  Draw k (from 1) runs the parent first
 when k is odd and the change first when k is even.  Both sides must return
 the same row.  Per d it prints each side's thread count and median ms
@@ -36,6 +36,7 @@ from pathlib import Path
 from bench_pairs import OUT, _quartiles, make_trees
 
 SIDES = ("parent", "change")
+C, SEED = 2.0, 1  # p = C/d, as footprint.py fixes p = 2/D
 
 
 def plan(dims: list[int], n: int) -> list[tuple[int, int, str]]:
@@ -57,19 +58,19 @@ def load(trees: dict[str, Path], into: Path) -> dict:
     return {side: importlib.import_module(f"cubeperc_{side}.experiments") for side in trees}
 
 
-def trial_call(experiments, d: int, c: float, seed: int):
-    """One side's trial at Q^d, p = c/d: (draw -> row, thread count)."""
-    cfg = experiments.ExperimentConfig(kind="supercritical", d=d, c=c, seed=seed)
+def trial_call(experiments, d: int):
+    """One side's trial at Q^d, p = C/d: (draw -> row, thread count)."""
+    cfg = experiments.ExperimentConfig(kind="supercritical", d=d, c=C, seed=SEED)
     _, params = experiments.KINDS["supercritical"].theory(cfg)
     threads = experiments.thread_count(d)
-    return (lambda draw: experiments._supercritical_trial((seed, draw, *params), threads)), threads
+    return (lambda draw: experiments._supercritical_trial((SEED, draw, *params), threads)), threads
 
 
-def summarize(d: int, c: float, seed: int, threads: dict, ms: dict) -> dict:
+def summarize(d: int, threads: dict, ms: dict) -> dict:
     speedups = [p / q for p, q in zip(ms["parent"], ms["change"])]
     q = {side: [round(x, 3) for x in _quartiles(ms[side])] for side in SIDES}
     return {
-        "d": d, "c": c, "seed": seed, "draws": len(speedups),
+        "d": d, "c": C, "seed": SEED, "draws": len(speedups),
         **{side: {"threads": threads[side], "median_ms": q[side][1], "quartiles_ms": q[side][::2]} for side in SIDES},
         "speedup": round(statistics.median(speedups), 4),
         "change_wins": sum(s > 1 for s in speedups),
@@ -81,8 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the git revision to compare against")
     parser.add_argument("--d", type=int, nargs="+", required=True, dest="dims")
     parser.add_argument("--n", type=int, default=60, help="timed draws per side and d")
-    parser.add_argument("--c", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--dry-run", action="store_true", help="print the timed calls in order only")
     args = parser.parse_args(argv)
     if args.n < 1:
@@ -98,7 +97,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp, open(OUT / "trials.jsonl", "a") as log:
         modules = load(trees, Path(tmp))
         for d in args.dims:
-            calls = {side: trial_call(modules[side], d, args.c, args.seed) for side in SIDES}
+            calls = {side: trial_call(modules[side], d) for side in SIDES}
             for side in SIDES:
                 calls[side][0](args.n)  # warm-up, on a draw that is not timed
             ms, rows = {side: [] for side in SIDES}, {side: [] for side in SIDES}
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
                 rows[side].append(calls[side][0](draw))
                 ms[side].append(1e3 * (time.perf_counter() - start))
             ok &= rows["parent"] == rows["change"]
-            summary = summarize(d, args.c, args.seed, {side: calls[side][1] for side in SIDES}, ms)
+            summary = summarize(d, {side: calls[side][1] for side in SIDES}, ms)
             log.write(json.dumps(summary) + "\n")
             log.flush()
             print(

@@ -99,9 +99,7 @@ def thread_count(d: int, processes: int = 1) -> int:
 
     Whole supercritical trials at c = 2 on 2 CPUs, two threads against one
     (median per-draw ratios, ``BENCH_16.json``): d = 16 0.83x, d = 17
-    0.85x, d = 18 0.94-0.99x, d = 19 1.01-1.02x and d = 20 1.19x.  The
-    former rule, two threads from d = 16, left d = 16, 17 and 18 trials
-    1.78x, 1.39x and 1.17x slower than this one (``make trials``)."""
+    0.85x, d = 18 0.94-0.99x, d = 19 1.01-1.02x and d = 20 1.19x."""
     if 1 << d <= 2 * _TASK:
         return 1
     return max(1, min(_MAX_THREADS, usable_cpus() // processes))

@@ -270,9 +270,10 @@ def _bfs_labels(g, mask):
 @pytest.mark.parametrize("p", [0.1, 0.5])
 @pytest.mark.parametrize("d", [10, 11, 12])
 def test_label_bases_on_both_sides_of_direct(d, p, threads):
-    # with _TASK at 2048, n = 1024 and 2048 jump in one direct call and
-    # n = 4096 maps its jumps over two ranges; the pair lists fall on
-    # either side as well
+    # both sides of a pass's direct call, which it makes when the pass fits
+    # one _TASK range: with _TASK at 2048, n = 1024 and 2048 jump in one
+    # direct call and n = 4096 maps its jumps over two ranges; the pair
+    # lists fall on either side as well
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
     with mock.patch.object(components, "_TASK", 1 << 11):
@@ -332,8 +333,10 @@ def test_first_relabel_per_direction(monkeypatch, d, p, closed, per_direction, t
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("d", [17, 18])
 def test_label_sample_equal_across_thread_counts(d, threads):
-    # a direction's counters fill whole sampling passes, and the jumps and
-    # relabels split into several pool tasks at d = 18
+    # a direction's counters fill whole sampling passes, and at d = 18 the
+    # n-length passes (the first jump and the gathers over all vertices)
+    # split into two ranges on the pool; the relabels and the k-length
+    # passes fit one range and run directly
     g = CubeGraph(d)
     key = SampleKey(2**50 + 1, d)
     expected = _labeling_fields(label_components(g, sample_edges(g, key, 2 / d)), d * d, g)
