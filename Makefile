@@ -2,18 +2,22 @@
 # make check  Tier-1, perfbench's own tests, then one perfbench run per
 #             workload; fails unless each run's result line says
 #             "correct": true (perfbench/run.py exits 0 either way)
+# make pairs, make footprint and make trials compare the parent revision
+# with the working tree on one runner (run_pairs in scripts/bench_pairs.py):
+# alternating runs, the parent first on odd pairs, each logged to
+# .perfbench_out/<tool log>.jsonl; per metric, each side's median [q1, q3],
+# the median change/parent ratio and the change's wins; exit 1 when a run
+# failed
 # make pairs PARENT=<rev> WORKLOAD=<w> SEEDS="41 42 …"
-#             alternating perfbench runs of the parent revision and the
-#             working tree, one pair per seed (scripts/bench_pairs.py)
+#             one perfbench run per side and seed: the end-to-end metrics
+#             of BENCHMARK.json (scripts/bench_pairs.py)
 # make footprint PARENT=<rev> D=24 SEEDS="1 2 3 4"
-#             alternating fresh-process `cubeperc sim --d D --p 2/D` runs of
-#             the parent revision and the working tree: wall time and peak
-#             RSS per run (scripts/footprint.py)
+#             one fresh-process `cubeperc sim --d D --p 2/D` run per side
+#             and seed: wall time and peak RSS (scripts/footprint.py)
 # make trials PARENT=<rev> D="16 17 18 19 20" N=60
-#             alternating in-process supercritical trials of the parent
-#             revision and the working tree at each d, each on its own
-#             thread count: median ms, speedup and wins per d
-#             (scripts/trial_pairs.py)
+#             per d, each side's thread count, then N in-process
+#             supercritical trials per side: ms per trial; exit 1 when the
+#             rows differ (scripts/trial_pairs.py)
 
 WORKLOADS = giant-d20 explore-d20 sweep-d14
 D = 24

@@ -4,49 +4,35 @@
     python3 scripts/trial_pairs.py --parent HEAD~1 --d 16 17 18 19 20 --n 60
     make trials PARENT=HEAD~1 D="16 17 18 19 20" N=60
 
-Sets up the same two trees as ``bench_pairs.py`` (a ``git archive`` of the
-parent and a copy of the working tree under ``.perfbench_out/pairs/``) and
-copies each tree's ``src/cubeperc`` into a temporary directory as the
-packages ``cubeperc_parent`` and ``cubeperc_change``.  The package imports
-itself only relatively, so both load side by side in this process.
+Sets up the same two trees as ``bench_pairs.py`` and copies each tree's
+``src/cubeperc`` into a temporary directory as the packages
+``cubeperc_parent`` and ``cubeperc_change``.  The package imports itself
+only relatively, so both load side by side in this process.
 
-For each d it times N supercritical trials at p = 2/d of each side (``C``,
-seed ``SEED``), ``_supercritical_trial((seed, draw, d, p, w_threshold,
-gap_lo, gap_hi), thread_count(d))`` with each side's own theory block and thread count, after
-one untimed warm-up call of each.  Draw k (from 1) runs the parent first
-when k is odd and the change first when k is even.  Both sides must return
-the same row.  Per d it prints each side's thread count and median ms
-[quartiles], the median of the per-draw speedups (parent ms / change ms) and
-how many draws the change won, and appends that summary to
-``.perfbench_out/trials.jsonl``.  It exits 1 when a row differs.
-``--dry-run`` prints the timed calls in order, and sets up and imports
-nothing.
+For each d it prints each side's thread count and, after one untimed warm-up
+call of each side, runs the pairs runner of ``bench_pairs.py`` over draws 0
+.. N-1: one probe times one supercritical trial at p = 2/d (``C``, seed
+``SEED``), ``_supercritical_trial((seed, draw, d, p, w_threshold, gap_lo,
+gap_hi), thread_count(d))`` with the side's own theory block and thread
+count, and logs ``{"side", "seed": draw, "d", "ms", "row"}`` to
+``.perfbench_out/trials.jsonl``.  Draw k (from 1) runs the parent first when
+k is odd.  The runner prints each side's median ms [quartiles], the median
+change/parent ratio and the change's wins.  Both sides must return the same
+rows: the tool exits 1 when they differ.  ``--dry-run`` prints the timed
+calls in order, and sets up and imports nothing.
 """
 
-import argparse
 import importlib
-import json
 import shutil
-import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import OUT, _quartiles, make_trees
+from bench_pairs import OUT, SIDES, make_trees, parser, plan, run_pairs
 
-SIDES = ("parent", "change")
 C, SEED = 2.0, 1  # p = C/d, as footprint.py fixes p = 2/D
-
-
-def plan(dims: list[int], n: int) -> list[tuple[int, int, str]]:
-    """(d, draw, side) in run order: the parent first on odd draws."""
-    order = []
-    for d in dims:
-        for k in range(1, n + 1):
-            sides = SIDES if k % 2 else SIDES[::-1]
-            order += [(d, k - 1, side) for side in sides]
-    return order
+METRICS = [{"name": "ms", "unit": "ms", "better": "lower"}]
 
 
 def load(trees: dict[str, Path], into: Path) -> dict:
@@ -66,57 +52,38 @@ def trial_call(experiments, d: int):
     return (lambda draw: experiments._supercritical_trial((SEED, draw, *params), threads)), threads
 
 
-def summarize(d: int, threads: dict, ms: dict) -> dict:
-    speedups = [p / q for p, q in zip(ms["parent"], ms["change"])]
-    q = {side: [round(x, 3) for x in _quartiles(ms[side])] for side in SIDES}
-    return {
-        "d": d, "c": C, "seed": SEED, "draws": len(speedups),
-        **{side: {"threads": threads[side], "median_ms": q[side][1], "quartiles_ms": q[side][::2]} for side in SIDES},
-        "speedup": round(statistics.median(speedups), 4),
-        "change_wins": sum(s > 1 for s in speedups),
-    }
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--parent", required=True, help="the git revision to compare against")
-    parser.add_argument("--d", type=int, nargs="+", required=True, dest="dims")
-    parser.add_argument("--n", type=int, default=60, help="timed draws per side and d")
-    parser.add_argument("--dry-run", action="store_true", help="print the timed calls in order only")
-    args = parser.parse_args(argv)
+    tool = parser(__doc__)
+    tool.add_argument("--d", type=int, nargs="+", required=True, dest="dims")
+    tool.add_argument("--n", type=int, default=60, help="timed draws per side and d")
+    args = tool.parse_args(argv)
     if args.n < 1:
-        parser.error("--n must be >= 1")
-    order = plan(args.dims, args.n)
+        tool.error("--n must be >= 1")
     if args.dry_run:
-        for d, draw, side in order:
-            print(f"d {d} draw {draw} {side}")
+        for d in args.dims:
+            for side, draw in plan(range(args.n)):
+                print(f"d {d} draw {draw} {side}")
         return 0
 
-    trees = make_trees(args.parent)
     ok = True
-    with tempfile.TemporaryDirectory() as tmp, open(OUT / "trials.jsonl", "a") as log:
-        modules = load(trees, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        modules = load(make_trees(args.parent), Path(tmp))
         for d in args.dims:
             calls = {side: trial_call(modules[side], d) for side in SIDES}
-            for side in SIDES:
-                calls[side][0](args.n)  # warm-up, on a draw that is not timed
-            ms, rows = {side: [] for side in SIDES}, {side: [] for side in SIDES}
-            for _, draw, side in (step for step in order if step[0] == d):
+            print(f"d {d}: " + "; ".join(f"{side} {calls[side][1]} thread(s)" for side in SIDES), flush=True)
+            for call, _ in calls.values():
+                call(args.n)  # warm-up, on a draw that is not timed
+
+            def probe(side, tree, draw):
                 start = time.perf_counter()
-                rows[side].append(calls[side][0](draw))
-                ms[side].append(1e3 * (time.perf_counter() - start))
-            ok &= rows["parent"] == rows["change"]
-            summary = summarize(d, {side: calls[side][1] for side in SIDES}, ms)
-            log.write(json.dumps(summary) + "\n")
-            log.flush()
-            print(
-                f"d {d}: "
-                + "; ".join(f"{side} {summary[side]['threads']} thread(s) {summary[side]['median_ms']:.2f} ms "
-                            f"{summary[side]['quartiles_ms']}" for side in SIDES)
-                + f"; speedup {summary['speedup']:.3f}; change wins {summary['change_wins']}/{args.n}"
-                + ("" if rows["parent"] == rows["change"] else "; ROWS DIFFER"),
-                flush=True,
-            )
+                row = calls[side][0](draw)
+                return {"d": d, "ms": 1e3 * (time.perf_counter() - start), "row": row}
+
+            records, _ = run_pairs(args.parent, range(args.n), probe, METRICS, OUT / "trials.jsonl")
+            rows = {(r["side"], r["seed"]): r["row"] for r in records}
+            same = all(rows["parent", draw] == rows["change", draw] for draw in range(args.n))
+            ok &= same
+            print(f"d {d}: rows {'agree' if same else 'DIFFER'}", flush=True)
     return 0 if ok else 1
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from contextlib import ExitStack
 from dataclasses import MISSING, Field, dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple
@@ -334,18 +335,18 @@ _KIND_KEYS = sorted({key for k in KINDS.values() for key in (k.param, *k.reads)}
 _SCALAR_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _is_int(x) -> bool:
-    # bool is an int subclass, but True is no count or dimension
-    return isinstance(x, int) and not isinstance(x, bool)
+def _typed(typ: type, value) -> bool:
+    # a ``typ`` itself, or an int for a float key.  A bool is refused for
+    # every key: it is an int, but True is no count, dimension or rate
+    return not isinstance(value, bool) and (isinstance(value, typ) or typ is float and isinstance(value, int))
 
 
-def _coerced(typ: type, value):
-    # a string parsed by ``typ``; a typed value only where that is exact: a
-    # ``typ`` itself, or an int for a float key.  A bool is refused for
-    # every key, though it is an int
-    if not isinstance(value, bool) and (isinstance(value, (str, typ)) or typ is float and isinstance(value, int)):
+def _parsed(typ: type, value):
+    # a string parsed by ``typ`` and an int widened for a float key; any
+    # other value is left for ``validate`` to check
+    if isinstance(value, str):
         return typ(value)
-    raise ValueError(value)
+    return float(value) if typ is float and _typed(int, value) else value
 
 
 def config_field_type(f: Field) -> type:
@@ -386,16 +387,23 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """ConfigError listing every problem, or CapacityError for d > MAX_DIMENSION on a cube kind."""
+        wrong = []
+        for f in fields(self):
+            value, typ = getattr(self, f.name), config_field_type(f)
+            if not (value is None and f.default is None or _typed(typ, value)):
+                wrong.append(f"config key {f.name} must be of type {typ.__name__}, got {value!r}")
+        if wrong:  # the checks below compare, so a value of another type stops here
+            raise ConfigError("invalid config: " + "; ".join(wrong))
         problems = []
         for f in fields(self):
             value = getattr(self, f.name)
             if "choices" in f.metadata and value not in f.metadata["choices"]:
                 problems.append(f"{f.name} must be one of {f.metadata['choices']}, got {value!r}")
-        if not _is_int(self.d) or self.d < 2:
+        if self.d < 2:
             problems.append(f"d must be an integer >= 2, got {self.d!r}")
-        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
+        if not 1 <= self.trials <= MAX_TRIALS:
             problems.append(f"trials must be an integer in [1, 2^32], got {self.trials!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
+        if not 0 <= self.seed < 1 << 64:
             problems.append(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         spec = KINDS.get(self.kind)
         if spec is not None:
@@ -404,12 +412,12 @@ class ExperimentConfig:
                 problems.append(f"{spec.param} is required for kind={self.kind}")
             elif not spec.in_domain(value):
                 problems.append(f"{spec.param} must {spec.domain} for kind={self.kind}, got {value}")
-            elif spec.param == "c" and _is_int(self.d) and self.d >= 2 and value / self.d > 1.0:
+            elif spec.param == "c" and self.d >= 2 and value / self.d > 1.0:
                 problems.append(f"c = {value} makes p = c/d = {value / self.d:.6g} exceed 1 for kind={self.kind}")
             for other in _KIND_KEYS:
                 if other not in (spec.param, *spec.reads) and getattr(self, other) is not None:
                     problems.append(f"{other} must be unset for kind={self.kind}, which does not read it")
-            if _is_int(self.d) and 2 <= self.d <= MAX_DIMENSION:  # a larger d is refused below
+            if 2 <= self.d <= MAX_DIMENSION:  # a larger d is refused below
                 w = self.resolved_w_threshold()  # the default d^2 exceeds 2^d at d = 3
                 if "w_threshold" in spec.reads and w > self.n:
                     problems.append(f"w_threshold {w} exceeds 2^d = {self.n} for kind={self.kind}")
@@ -417,13 +425,9 @@ class ExperimentConfig:
                     p2 = self.d ** -self.p2_exponent  # as the theory block computes it
                     if p2 > value / self.d:
                         problems.append(f"p2_exponent = {self.p2_exponent} makes d^-p2_exponent = {p2:.6g} exceed c/d")
-        for name in ("w_threshold", "gap_lo", "gap_hi"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                problems.append(f"{name} must be an integer, got {value!r}")
         if self.w_threshold is not None and self.w_threshold < 1:
             problems.append(f"w_threshold must be >= 1, got {self.w_threshold}")
-        if not _is_int(self.gw_progeny_cap) or self.gw_progeny_cap < 1:
+        if self.gw_progeny_cap < 1:
             problems.append(f"gw_progeny_cap must be an integer >= 1, got {self.gw_progeny_cap!r}")
         if not self.p2_exponent > 0:  # NaN fails too
             problems.append(f"p2_exponent must be positive, got {self.p2_exponent}")
@@ -458,9 +462,9 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         """Build a config from key -> value (strings from a config file, or
-        typed values); a string is coerced by its field's type, a typed
-        value passes only as that type or, for a float key, as an int (never
-        a bool), and None leaves a field at its default."""
+        typed values); a string is parsed by its field's type, an int for a
+        float key becomes a float, and None leaves a field at its default.
+        ``validate`` then refuses a value of another type."""
         bad = sorted(k for k in mapping if k not in CONFIG_KEYS)
         if bad:
             raise ConfigError(f"unknown config keys: {', '.join(bad)}")
@@ -473,7 +477,7 @@ class ExperimentConfig:
                 continue
             typ = config_field_type(f)
             try:
-                kwargs[f.name] = _coerced(typ, value)
+                kwargs[f.name] = _parsed(typ, value)
             except ValueError:
                 raise ConfigError(f"config key {f.name} must be of type {typ.__name__}, got {value!r}") from None
         return cls(**kwargs)
@@ -525,23 +529,21 @@ class ExperimentReport:
 
 def _map_trials(fn, args_list, workers, on_trial):
     total = len(args_list)
-    rows = []
-    if workers <= 1:
-        for i, args in enumerate(args_list):
-            rows.append(fn(args))
-            if on_trial:
-                on_trial(i + 1, total)
-    else:
-        # imported here: a serial run loads neither multiprocessing nor logging
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        if workers <= 1:
+            mapped = map(fn, args_list)
+        else:
+            # imported here: a serial run loads neither multiprocessing nor logging
+            from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, total // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(fn, args_list, chunksize=chunk)):
-                rows.append(row)
-                if on_trial:
-                    on_trial(i + 1, total)
-    return rows
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            mapped = pool.map(fn, args_list, chunksize=max(1, total // (workers * 8)))
+        rows = []
+        for row in mapped:
+            rows.append(row)
+            if on_trial:
+                on_trial(len(rows), total)
+        return rows
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
@@ -553,7 +555,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> Ex
     ``workers`` or on the thread count.  ``on_trial(done, total)`` is called
     as trials complete.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if not _typed(int, workers) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     spec = KINDS[cfg.kind]
     block, params = spec.theory(cfg)

@@ -175,6 +175,17 @@ def test_config_rejects_non_integer_counts(name, bad):
     assert name in str(err.value)
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("supercritical", "c", "2"), ("subcritical", "eps", "0.3"), ("gw", "p2_exponent", "5"), ("gw", "out", 5),
+])
+def test_config_refuses_values_of_another_type(kind, key, value):
+    # the first three once escaped a comparison as TypeError; out = 5 was accepted
+    good = {"kind": kind, "d": 10, **_param(kind)}
+    ExperimentConfig(**good)
+    with pytest.raises(ConfigError, match=f"config key {key} must be of type"):
+        ExperimentConfig(**{**good, key: value})
+
+
 @pytest.mark.parametrize("kind", sorted(k for k in KINDS if KINDS[k].param == "c"))
 def test_config_rejects_c_beyond_d(kind):
     # these kinds sample or branch at p = c/d, which must not exceed 1
@@ -244,7 +255,7 @@ def test_workers_do_not_change_output():
 
 
 def test_workers_must_be_positive():
-    for workers in (0, -3):
+    for workers in (0, -3, True):  # True once ran on one worker
         with pytest.raises(ConfigError) as err:
             run_experiment(_small_super(trials=2), workers=workers)
         assert "workers" in str(err.value)

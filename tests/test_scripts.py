@@ -1,8 +1,11 @@
 """Smoke tests: each study script runs to completion at tiny sizes, the
-package API that ``perfbench/`` calls is still there at d = 4, and the
+package API that ``perfbench/`` calls is still there at d = 4, the
 benchmark-pairs, footprint and trial-pairs tools plan their runs in
-alternating order."""
+alternating order, and their shared runner logs, summarizes and reports
+failed runs."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -128,3 +131,67 @@ def test_trial_pairs_dry_run_alternates(tmp_path):
         "d 19 draw 2 parent", "d 19 draw 2 change",
         "[]", "",
     ]
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("bench_pairs")
+
+
+METRICS = [
+    {"name": "rate", "unit": "1/s", "better": "higher"},
+    {"name": "ms", "unit": "ms", "better": "lower"},
+    {"name": "wall_s", "unit": "s", "better": "lower"},  # printed to 10 ms, so often 0
+]
+
+
+def _records(parent: dict, change: dict) -> list[dict]:
+    return [
+        {"side": side, "seed": seed, **dict(zip(("rate", "ms", "wall_s"), values))}
+        for side, runs in (("parent", parent), ("change", change))
+        for seed, values in runs.items()
+    ]
+
+
+def test_pairs_summary_statistics(bench_pairs):
+    # quartiles are statistics.quantiles' exclusive ones; a tie is no win; a
+    # zero parent value ties with a zero change (ratio 1) and loses to any
+    # other (ratio inf); seed 4's change run failed, so its pair is left out
+    parent = {1: (10, 5.0, 0.0), 2: (20, 6.0, 0.0), 3: (30, 7.0, 0.01), 4: (40, 8.0, 0.0),
+              5: (50, 9.0, 0.0)}
+    change = {1: (11, 5.5, 0.0), 2: (19, 5.0, 0.01), 3: (33, 7.0, 0.01), 5: (55, 8.1, 0.0)}
+    records = _records(parent, change) + [{"side": "change", "seed": 4}]
+    assert bench_pairs.summarize(records, METRICS) == [
+        "4 complete pairs",
+        "rate (1/s, higher is better): parent 25 [12.5, 45]; change 26 [13, 49.5]; "
+        "median ratio 1.1000; change wins 3/4",
+        "ms (ms, lower is better): parent 6.5 [5.25, 8.5]; change 6.25 [5.125, 7.825]; "
+        "median ratio 0.9500; change wins 2/4",
+        "wall_s (s, lower is better): parent 0 [0, 0.0075]; change 0.005 [0, 0.01]; median ratio 1.0000; "
+        "change wins 0/4",
+    ]
+    assert bench_pairs.summarize(records[:1], METRICS) == ["0 complete pairs"]
+
+
+def test_run_pairs_logs_each_run_and_reports_a_failure(bench_pairs, monkeypatch, tmp_path, capsys):
+    # the probe sees each side's tree in the alternating order; a failed run
+    # is logged without metrics and makes the run report failure
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    monkeypatch.setattr(bench_pairs, "make_trees", lambda parent: trees)
+    calls = []
+
+    def probe(side, tree, seed):
+        calls.append((side, tree, seed))
+        return None if (side, seed) == ("change", 2) else {"rate": seed + (side == "change"), "ms": 1.0, "wall_s": 0.0}
+
+    log = tmp_path / "pairs.jsonl"
+    records, ok = bench_pairs.run_pairs("HEAD", [1, 2, 3], probe, METRICS, log)
+    assert not ok
+    assert calls == [(side, trees[side], seed) for side, seed in bench_pairs.plan([1, 2, 3])]
+    assert [json.loads(line) for line in log.read_text().splitlines()] == records
+    assert records[2] == {"side": "change", "seed": 2}
+    out = capsys.readouterr().out.splitlines()
+    assert "change seed 2: failed" in out
+    assert out[-4] == "2 complete pairs"
+    assert out[-3].endswith("median ratio 1.6667; change wins 2/2")  # seeds 1 and 3: 2/1 and 4/3
