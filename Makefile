@@ -17,7 +17,9 @@
 # make trials PARENT=<rev> D="16 17 18 19 20" N=60
 #             per d, each side's thread count, then N in-process
 #             supercritical trials per side: ms per trial; exit 1 when the
-#             rows differ (scripts/trial_pairs.py)
+#             rows differ (scripts/trial_pairs.py); THREADS="1 2" sets the
+#             two sides' thread counts (with PARENT=HEAD: one against two
+#             threads on the same code)
 
 WORKLOADS = giant-d20 explore-d20 sweep-d14
 D = 24
@@ -47,4 +49,4 @@ footprint:
 	python3 scripts/footprint.py --parent "$(PARENT)" --d "$(D)" --seeds $(SEEDS)
 
 trials:
-	python3 scripts/trial_pairs.py --parent "$(PARENT)" --d $(D) --n $(N)
+	python3 scripts/trial_pairs.py --parent "$(PARENT)" --d $(D) --n $(N) $(if $(THREADS),--threads $(THREADS))

@@ -83,8 +83,8 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
 
 
 def _ratio(pair) -> float:
-    # change/parent.  A parent value of 0 (a wall time printed to 10 ms reads
-    # 0 at a small d) ties with a change of 0 and loses to any other
+    # change/parent.  A parent value of 0 (a wall time printed to 1 ms may
+    # read 0) ties with a change of 0 and loses to any other
     parent, change = pair
     return change / parent if parent else 1.0 if change == parent else math.inf
 

@@ -13,13 +13,17 @@ For each d it prints each side's thread count and, after one untimed warm-up
 call of each side, runs the pairs runner of ``bench_pairs.py`` over draws 0
 .. N-1: one probe times one supercritical trial at p = 2/d (``C``, seed
 ``SEED``), ``_supercritical_trial((seed, draw, d, p, w_threshold, gap_lo,
-gap_hi), thread_count(d))`` with the side's own theory block and thread
-count, and logs ``{"side", "seed": draw, "d", "ms", "row"}`` to
+gap_hi), threads)`` with the side's own theory block and thread count,
+``thread_count(d)`` unless ``--threads PARENT CHANGE`` sets the two, and
+logs ``{"side", "seed": draw, "d", "ms", "row"}`` to
 ``.perfbench_out/trials.jsonl``.  Draw k (from 1) runs the parent first when
 k is odd.  The runner prints each side's median ms [quartiles], the median
 change/parent ratio and the change's wins.  Both sides must return the same
 rows: the tool exits 1 when they differ.  ``--dry-run`` prints the timed
 calls in order, and sets up and imports nothing.
+
+With ``--parent HEAD --threads 1 2`` on a clean tree, both sides run the
+same code, and the pairs time one thread against two.
 """
 
 import importlib
@@ -44,11 +48,12 @@ def load(trees: dict[str, Path], into: Path) -> dict:
     return {side: importlib.import_module(f"cubeperc_{side}.experiments") for side in trees}
 
 
-def trial_call(experiments, d: int):
-    """One side's trial at Q^d, p = C/d: (draw -> row, thread count)."""
+def trial_call(experiments, d: int, threads: int | None = None):
+    """One side's trial at Q^d, p = C/d, on ``threads`` threads, by default
+    the side's ``thread_count(d)``: (draw -> row, thread count)."""
     cfg = experiments.ExperimentConfig(kind="supercritical", d=d, c=C, seed=SEED)
     _, params = experiments.KINDS["supercritical"].theory(cfg)
-    threads = experiments.thread_count(d)
+    threads = experiments.thread_count(d) if threads is None else threads
     return (lambda draw: experiments._supercritical_trial((SEED, draw, *params), threads)), threads
 
 
@@ -56,9 +61,13 @@ def main(argv=None) -> int:
     tool = parser(__doc__)
     tool.add_argument("--d", type=int, nargs="+", required=True, dest="dims")
     tool.add_argument("--n", type=int, default=60, help="timed draws per side and d")
+    tool.add_argument("--threads", type=int, nargs=2, metavar=("PARENT", "CHANGE"),
+                      help="each side's thread count, in place of its thread_count(d)")
     args = tool.parse_args(argv)
     if args.n < 1:
         tool.error("--n must be >= 1")
+    if args.threads and min(args.threads) < 1:
+        tool.error("--threads must be >= 1")
     if args.dry_run:
         for d in args.dims:
             for side, draw in plan(range(args.n)):
@@ -69,7 +78,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         modules = load(make_trees(args.parent), Path(tmp))
         for d in args.dims:
-            calls = {side: trial_call(modules[side], d) for side in SIDES}
+            calls = {side: trial_call(modules[side], d, n) for side, n in zip(SIDES, args.threads or (None, None))}
             print(f"d {d}: " + "; ".join(f"{side} {calls[side][1]} thread(s)" for side in SIDES), flush=True)
             for call, _ in calls.values():
                 call(args.n)  # warm-up, on a draw that is not timed

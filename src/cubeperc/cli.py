@@ -118,7 +118,7 @@ def cmd_sim(args) -> int:
     print(
         f"Q^{args.d} at p={args.p}: l1={labeling.l1} l2={labeling.l2} "
         f"components={labeling.n_components} "
-        f"wall={time.perf_counter() - start:.2f}s peak_rss={_peak_rss_mb():.0f}MB",
+        f"wall={time.perf_counter() - start:.3f}s peak_rss={_peak_rss_mb():.0f}MB",
         file=sys.stderr,
     )
     if args.hist:

@@ -7,34 +7,34 @@ never holds the m-length edge mask (``label_sample``).  Local structure is
 probed by a capped BFS exploration that consumes one random bit per edge,
 and distances to a vertex set run as a BFS on bit-packed frontiers.
 
-One size, ``_TASK``, rules the labeling's ranges and threads.  Every
-ranged pass (a pointer jump, a relabel of the label pairs, a gather) cuts
-its array into consecutive ranges of at most ``_TASK`` entries, joined in
-order: an array of one range is one call on the calling thread, one of
-several ranges is mapped on the labeling's pool.  A labeling runs on
-several threads (``thread_count`` picks how many) only when its cube fills
-more than two ranges, d >= 19; numpy releases the interpreter lock inside
-its kernels.  The sampling then splits by consecutive ranges of directions,
-one buffer per thread.  The counters are keyed and the labels canonical, so
-no bit and no label depends on the split.  The hooks (np.minimum.at), the
-first relabel where it runs per direction, the root numbering, the final
-sort and the statistics run on one thread.
+One size, ``_TASK``, cuts the labeling's passes: every pointer jump,
+relabel of the label pairs and gather runs over consecutive ranges of at
+most ``_TASK`` entries, in order, so that np.take's intp copy of an index
+stays small.  On two threads (``thread_count`` picks when) the labeling
+splits the cube, not the passes: Q^d is two copies of Q^(d-1) joined by
+the perfect matching of its top direction.  Each half samples its own
+window of every direction's counters and is labeled in its own vertex ids
+on a thread of its own; the calling thread joins the halves along the top
+direction; each half maps back to vertex labels on its own thread.  numpy
+releases the interpreter lock inside its kernels.  The counters are keyed
+and the labels canonical, so no bit and no label depends on the split.
+The join's rounds, the final sort and the statistics run on the calling
+thread.
 
-Only the first hook and jump of a labeling run on n-length label arrays.
-The labeling then contracts onto that jump's k roots: the first relabel
-gathers each vertex's root id, every later round (np.minimum.at, the
-pointer jumps and the pair relabels) runs on k-length arrays, and one
-ranged gather maps each vertex back to a vertex label at the end.
+Only the first hook and jump of a labeling run on n-length label arrays
+(of each half's length, on two threads).  The labeling then contracts onto
+that jump's k roots: the first relabel gathers each vertex's root id, every
+later round (np.minimum.at, the pointer jumps and the pair relabels) runs
+on k-length arrays, and one ranged gather maps each vertex back to a vertex
+label at the end.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -78,48 +78,50 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The longest index range that one pass hands a thread.  Tasks of 2^17
-# entries keep a thread in native code for about half a millisecond and the
-# intp copy that np.take makes of their index at 1 MB; the pool hands them
-# out to whichever thread is free.  The gathers are np.take in clip mode,
-# which every label, a vertex, leaves alone: it skips the per-index check
-# and gathers ~1.5x faster than f[idx].
+# The longest index range that one pass works on at a time.  np.take copies
+# its whole index to intp, so a range of 2^17 entries bounds that copy at
+# 1 MB (128 MB at d = 24 for an unranged gather).  The gathers are np.take
+# in clip mode, which every label, a vertex, leaves alone: it skips the
+# per-index check and gathers ~1.5x faster than f[idx].
 _TASK = 1 << 17
 
-# The most threads one labeling uses.  The split was measured on 2 CPUs only;
-# raise this once a host with more has been benchmarked.
+# The most threads one labeling uses: two, one per half of the cube.  The
+# split was measured on 2 CPUs only.
 _MAX_THREADS = 2
 
 
 def thread_count(d: int, processes: int = 1) -> int:
     """Threads for one labeling of Q^d while ``processes`` trials run side
-    by side: 1 when the 2^d vertices fill at most two ``_TASK`` ranges
-    (d <= 18), else the CPUs left to each process,
+    by side: 1 while each half of the cube is smaller than a ``_TASK``
+    range (d <= 17), else the CPUs left to each process,
     ``usable_cpus() // processes``, at most ``_MAX_THREADS``.
 
-    Whole supercritical trials at c = 2 on 2 CPUs, two threads against one
-    (median per-draw ratios, ``BENCH_16.json``): d = 16 0.83x, d = 17
-    0.85x, d = 18 0.94-0.99x, d = 19 1.01-1.02x and d = 20 1.19x."""
-    if 1 << d <= 2 * _TASK:
+    Whole supercritical trials at c = 2 on 2 CPUs, the halves on two
+    threads against the whole on one (median per-draw ratios,
+    ``BENCH_20.json``, 60 draws each, in a quiet spell of the host):
+    d = 16 0.60x, d = 17 1.01x, d = 18 1.15x, d = 19 1.26x and d = 20
+    1.38x.  When the host takes CPU time from the process, two threads
+    gain less or lose (ibid.)."""
+    if 1 << d <= _TASK:
         return 1
     return max(1, min(_MAX_THREADS, usable_cpus() // processes))
 
 
-# one thread's executor: the builtin map, which starts no thread and
-# imports no concurrent.futures
-_SERIAL = nullcontext(SimpleNamespace(map=map))
-
-
-def _executor(threads: int):
-    # something to map tasks with, shut down (its threads joined) on leaving
-    # its ``with`` block
+def _checked(threads: int) -> int:
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    if threads == 1:
-        return _SERIAL
+    return threads
+
+
+def _side_by_side(first: Callable[[], object], second: Callable[[], object]) -> tuple:
+    # first() on this thread while second() runs on a thread of its own;
+    # both results, once the second thread is joined.  concurrent.futures
+    # is imported only here, so a one-thread process never loads it
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=threads)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = pool.submit(second)
+        return first(), later.result()
 
 
 def _split(n: int, parts: int) -> list[slice]:
@@ -135,14 +137,6 @@ def _tasks(n: int) -> list[slice]:
     return [slice(0, n)] if n <= _TASK else _split(n, -(-n // _TASK))
 
 
-def _map_ranges(pool, fn: Callable[[slice], object], n: int) -> list:
-    # fn over the ranges of [0, n), results in range order: one range is
-    # one direct call on this thread, several are mapped on ``pool``
-    if n <= _TASK:
-        return [fn(slice(None))]
-    return list(pool.map(fn, _tasks(n)))
-
-
 def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
     # one pointer jump over a vertex range: out[s] = f[f[s]], reading only f
     # and writing only out[s]; returns how many labels moved
@@ -151,12 +145,13 @@ def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
     return int(np.count_nonzero(outs != fs))
 
 
-def _jump(pool, f: np.ndarray) -> np.ndarray:
-    # f jumped to its fixed point f = f[f], by ranges into a second array
-    nxt = np.empty_like(f)
-    while sum(_map_ranges(pool, partial(_jump_range, f, nxt), f.size)):
-        f, nxt = nxt, f
-    return f
+def _jump(f: np.ndarray, spare: np.ndarray) -> None:
+    # f jumped in place to its fixed point f = f[f], each pass by ranges
+    # into the other array.  The pass that moves no label leaves the two
+    # arrays equal, so f holds the fixed point whichever of them it wrote
+    src, dst = f, spare
+    while sum(_jump_range(src, dst, s) for s in _tasks(f.size)):
+        src, dst = dst, src
 
 
 def _unjoined(lu: np.ndarray, lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +162,10 @@ def _unjoined(lu: np.ndarray, lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu.compress(differ), lv.compress(differ)
 
 
-def _relabel_range(f: np.ndarray, lu: np.ndarray, lv: np.ndarray, s: slice) -> tuple[np.ndarray, np.ndarray]:
-    # the label pairs of a pair range after a jump, less those now joined,
-    # filtered by compress (``_unjoined``)
-    return _unjoined(f.take(lu[s], mode="clip"), f.take(lv[s], mode="clip"))
+def _relabel(f: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> list:
+    # the label pairs (lu, lv) after a jump, less those now joined, as parts
+    # per pair range, filtered by compress (``_unjoined``)
+    return [_unjoined(f.take(lu[s], mode="clip"), f.take(lv[s], mode="clip")) for s in _tasks(lu.size)]
 
 
 def _relabel_direction(f: np.ndarray, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,15 +178,35 @@ def _relabel_direction(f: np.ndarray, i: int, u: np.ndarray) -> tuple[np.ndarray
     return _unjoined(lu, f.take(at, mode="clip"))
 
 
+def _concatenated(arrays: list) -> np.ndarray:
+    # the int32 arrays of the list as one, in order.  The list is emptied
+    # as it is copied, from the back, so that each part is freed once copied
+    # and the parts are never all held beside their copy; one part is
+    # returned as it is
+    if len(arrays) == 1:
+        return arrays.pop()
+    out = np.empty(sum(a.size for a in arrays), dtype=np.int32)
+    end = out.size
+    while arrays:
+        part = arrays.pop()
+        out[end - part.size:end] = part
+        end -= part.size
+    return out
+
+
 def _joined(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    # the label pairs of the ranges, in order; one range's as they are
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    # the label pairs of the parts, in order, as one list each; ``parts``
+    # is emptied, so that the caller holds no pair twice
+    lus, lvs = [lu for lu, _ in parts], [lv for _, lv in parts]
+    parts.clear()
+    return _concatenated(lus), _concatenated(lvs)
 
 
-def _gather_range(src: np.ndarray, idx: np.ndarray, s: slice) -> None:
-    # idx[s] = src[idx[s]] in place: np.take casts the range's index to an
-    # intp copy before it writes
-    src.take(idx[s], out=idx[s], mode="clip")
+def _gather(src: np.ndarray, idx: np.ndarray) -> None:
+    # idx = src[idx] in place, by ranges: np.take casts a range's index to
+    # an intp copy before it writes
+    for s in _tasks(idx.size):
+        src.take(idx[s], out=idx[s], mode="clip")
 
 
 def _rank_range(f: np.ndarray, rank: np.ndarray, k: int, s: slice) -> int:
@@ -205,40 +220,164 @@ def _rank_range(f: np.ndarray, rank: np.ndarray, k: int, s: slice) -> int:
     return at.size
 
 
-def _compact(pool, f: np.ndarray) -> tuple[int, list]:
+def _compact(f: np.ndarray, rank: np.ndarray) -> tuple[int, list]:
     # number the k roots (f[x] = x) of the star f 0..k-1 in increasing
-    # order, then map f in place, by ranges, to each vertex's root id.
-    # Returns k and the roots as bitmaps per range, (range, packed bits),
-    # read off the rank array (a root's id, negative elsewhere) after the
-    # map, so that no bitmap is held beside the map's gathers.  The
-    # numbering is one sequential pass over f by ranges on this thread
-    rank = ~f  # -f - 1 < 0 until a root's id is written
+    # order, then map f in place to each vertex's root id; ``rank`` is
+    # scratch of f's length (a root's id, negative elsewhere).  Returns k
+    # and the roots as bitmaps per range, (range, packed bits), read off
+    # rank after the map, so that no bitmap is held beside the map's
+    # gathers.  The numbering is one sequential pass over f by ranges
+    np.invert(f, out=rank)  # -f - 1 < 0 until a root's id is written
     k = 0
     for s in _tasks(f.size):
         k += _rank_range(f, rank, k, s)
-    _map_ranges(pool, partial(_gather_range, rank, f), f.size)
+    _gather(rank, f)
     return k, [(s, np.packbits(rank[s] >= 0)) for s in _tasks(f.size)]
 
 
-def _roots(bits: list, k: int) -> np.ndarray:
-    # the k roots that ``_compact`` packed, as int32 vertices in increasing
-    # order: root id j's vertex
-    roots = np.empty(k, dtype=np.int32)
+def _roots(bits: list, out: np.ndarray) -> None:
+    # the roots that ``_compact`` packed, as vertices in increasing order,
+    # into ``out``: root id j's vertex at out[j]
     j = 0
     for s, packed in bits:
         # nonzero on bool, ~8x faster than on unpackbits' uint8
         at = np.unpackbits(packed, count=s.stop - s.start).view(bool).nonzero()[0]
         if s.start:
             at += s.start
-        roots[j:j + at.size] = at
+        out[j:j + at.size] = at
         j += at.size
-    return roots
 
 
 # Below this many open edges per direction on average, the first relabel
 # joins the endpoints into one pair list: a call per direction costs more
 # than it saves (``label_bases``).
 _DIRECT = 1 << 11
+
+
+def _first_phase(f: np.ndarray, scratch: list, bases: list[np.ndarray]) -> tuple[int, list, list]:
+    # label_bases' first phase over f = identity, in f's own vertex ids:
+    # the hook, the first jump, the root numbering and the first relabel.
+    # ``scratch`` holds one array of f's length; it is taken out of the
+    # list, so that it is freed after the numbering, before the relabel
+    # allocates.  Returns k, the root bitmaps and the unjoined pairs as parts
+    for i, u in enumerate(bases):
+        f[np.bitwise_or(u, 1 << i, dtype=np.intp)] = u
+    spare = scratch.pop()
+    _jump(f, spare)
+    k, bits = _compact(f, spare)
+    del spare
+    if sum(u.size for u in bases) < _DIRECT * len(bases):  # small directions: one list of all endpoints
+        return k, bits, _relabel(f, np.concatenate(bases), np.concatenate([u | (1 << i) for i, u in enumerate(bases)]))
+    return k, bits, list(map(partial(_relabel_direction, f), range(len(bases)), bases))
+
+
+def _later_rounds(k: int, parts: list, fk: np.ndarray | None = None) -> np.ndarray:
+    # the labels fk of the root ids 0..k-1 after the later rounds along the
+    # unjoined label pairs of ``parts`` (emptied by the join): hook, jump,
+    # relabel until no pair is left.  They start from ``fk``, a star over
+    # the ids, or from the identity, allocated only after the join
+    lu, lv = _joined(parts)
+    fk = np.arange(k, dtype=np.int32) if fk is None else fk
+    while lu.size:
+        np.minimum.at(fk, np.maximum(lu, lv), np.minimum(lu, lv))
+        _jump(fk, np.empty_like(fk))
+        parts = _relabel(fk, lu, lv)
+        del lu, lv
+        lu, lv = _joined(parts)
+    return fk
+
+
+def _counted(f: np.ndarray, open_edges: int) -> ComponentLabeling:
+    # the labeling of the vertex labels f: on the giant-dominated labels of
+    # a supercritical draw the sort beats bincount, and it needs no intp
+    # copy of f or n-length int64 counts
+    ordered = f.copy()
+    ordered.sort()
+    first = np.empty(f.size + 1, dtype=bool)  # a label starts at k; k = n closes the last
+    first[0] = first[f.size] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
+    starts = first.nonzero()[0]
+    counts = starts[1:] - starts[:-1]  # component sizes, by ascending label
+    top = np.partition(counts, -2)[-2:] if counts.size >= 2 else (0, counts[0])
+    return ComponentLabeling(
+        l1=int(top[1]),
+        l2=int(top[0]),
+        component_sizes=counts,
+        n_components=int(counts.size),
+        open_edges=open_edges,
+        _vertex_labels=f,
+        _component_labels=ordered[starts[:-1]],
+    )
+
+
+def _label_whole(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
+    # the labeling on this thread (see label_bases)
+    f = np.arange(g.n, dtype=np.int32)
+    open_edges = sum(u.size for u in bases)
+    k, bits, parts = _first_phase(f, [np.empty_like(f)], bases)
+    del bases  # the only reference when the caller passes a fresh list
+    fk = _later_rounds(k, parts)
+    roots = np.empty(k, dtype=np.int32)
+    _roots(bits, roots)
+    del bits
+    _gather(roots, fk)  # each root id's label, as a vertex
+    del roots
+    _gather(fk, f)
+    del fk
+    return _counted(f, open_edges)
+
+
+def _half(f: np.ndarray, scratch: list, bases_of: Callable[[], list]) -> tuple:
+    # one half labeled in its own ids: the first phase and the later rounds
+    # over its bases ``bases_of()``, one array per direction, the top
+    # direction's last (as the lower half's vertices, left for the join).
+    # Returns (top bases, open edges, k, bits, the labels of the root ids)
+    bases = bases_of()
+    top = bases.pop()
+    opened = top.size + sum(u.size for u in bases)
+    k, bits, parts = _first_phase(f, scratch, bases)
+    del bases
+    return top, opened, k, bits, _later_rounds(k, parts)
+
+
+def _top_pairs(fa: np.ndarray, fb: np.ndarray, fk: np.ndarray, ka: int, tops: tuple) -> list:
+    # the label pairs (fk[fa[u]], fk[ka + fb[u]]) of the top direction's
+    # open edges (u, u + 2^(d-1)), as parts per range; a lower and an upper
+    # label, so never joined yet
+    return [
+        (fk.take(fa.take(top[s], mode="clip"), mode="clip"), fk[ka:].take(fb.take(top[s], mode="clip"), mode="clip"))
+        for top in tops
+        for s in _tasks(top.size)
+    ]
+
+
+def _label_halves(g: CubeGraph, lower: Callable[[], list], upper: Callable[[], list]) -> ComponentLabeling:
+    # the labeling with each half on a thread of its own (see label_bases).
+    # f and every half-length scratch array are allocated on this thread
+    h = g.n >> 1
+    f = np.arange(g.n, dtype=np.int32)
+    f[h:] -= h  # each half starts from its own identity
+    fa, fb = f[:h], f[h:]
+    (top_a, open_a, ka, bits_a, fk_a), (top_b, open_b, kb, bits_b, fk_b) = _side_by_side(
+        partial(_half, fa, [np.empty(h, dtype=np.int32)], lower),
+        partial(_half, fb, [np.empty(h, dtype=np.int32)], upper),
+    )
+    fk = np.empty(ka + kb, dtype=np.int32)  # the upper half's ids follow the lower half's ka
+    fk[:ka] = fk_a
+    np.add(fk_b, ka, out=fk[ka:])
+    del fk_a, fk_b
+    fk = _later_rounds(ka + kb, _top_pairs(fa, fb, fk, ka, (top_a, top_b)), fk)
+    del top_a, top_b
+    roots = np.empty(ka + kb, dtype=np.int32)
+    _roots(bits_a, roots[:ka])
+    _roots(bits_b, roots[ka:])
+    roots[ka:] += h
+    del bits_a, bits_b
+    _gather(roots, fk)  # each root id's label, as a vertex
+    del roots
+    _side_by_side(partial(_gather, fk, fa), partial(_gather, fk[ka:], fb))
+    del fk, fa, fb
+    return _counted(f, open_a + open_b)
 
 
 def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> ComponentLabeling:
@@ -263,108 +402,75 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     still unjoined, so no array of all the endpoints is built.  Where the
     directions average fewer than ``_DIRECT`` open edges, a call per
     direction costs more than it saves, and the endpoints are joined into
-    one pair list and relabeled by ranges like a later round.  The
-    per-direction relabel runs on the calling thread: on pool threads its
-    per-direction results stayed in those threads' malloc arenas, and a
-    d = 24 labeling on two threads read 5-15 % more peak RSS.  The lists
-    are then released; the caller's arrays are only read.  From then on
-    the loop carries only the label pairs (lu, lv) of the edges still
-    unjoined, not the edges: hooks write only roots and f is a star after
-    jumping, so u's new label f'[u] equals f'[f[u]], i.e. lu -> f[lu].
+    one pair list and relabeled by ranges like a later round.  The caller's
+    arrays are only read.  From then on the loop carries only the label
+    pairs (lu, lv) of the edges still unjoined, not the edges: hooks write
+    only roots and f is a star after jumping, so u's new label f'[u] equals
+    f'[f[u]], i.e. lu -> f[lu].
 
     After the first jump the labeling contracts onto its k roots
     (``_compact``): they are numbered 0..k-1 in increasing vertex order by
-    one sequential pass over f, and f is mapped in place, by ranges, to each
-    vertex's root id.  The first relabel, on either branch, gathers these
-    ids, and every later round (np.minimum.at, the pointer jumps and the
-    pair relabels) runs on a k-length array fk over the root ids, so no
-    later jump reads all n labels.  At d = 20 and c = 2 the first jump
-    leaves ~36 % of the vertices as roots.  When no pair is left, one
-    ranged gather maps each vertex through its root id and fk to a vertex
-    label, in place.
+    one sequential pass over f, and f is mapped in place to each vertex's
+    root id.  The first relabel, on either branch, gathers these ids, and
+    every later round (np.minimum.at, the pointer jumps and the pair
+    relabels) runs on a k-length array fk over the root ids, so no later
+    jump reads all n labels.  At d = 20 and c = 2 the first jump leaves
+    ~36 % of the vertices as roots.  When no pair is left, f is mapped
+    through its root ids and fk to vertex labels, in place.
 
-    Memory decides where each array lives.  The rank array (a root's id,
-    negative elsewhere) is the one extra n-length array, and it exists only
-    inside ``_compact``, where the first jump's spare did, before the
-    relabel.  While the bases are alive the roots are held only as a packed
-    bitmap (n / 8 bytes); the int32 roots are unpacked from it after the
-    later rounds, when the pair lists are gone.  fk is allocated only after
-    the first relabel's pairs are joined: allocated before them, it left a
-    d = 24 labeling on one CPU up to 17 MB (7 %) more peak RSS, with the
-    same traced peak.
+    With ``threads`` >= 2 (any such count; d >= 2) the two halves of the
+    cube are labeled side by side.  Q^d is two copies of Q^(d-1), the
+    vertices below 2^(d-1) and those above, joined by the perfect matching
+    of the top direction d - 1.  Each half runs the labeling above, first
+    phase and later rounds, in its own vertex ids, the lower half on the
+    calling thread and the upper on a second one; ``label_bases`` slices
+    each direction's sorted bases at the halves' boundary.  The calling
+    thread then joins them: the upper half's root ids follow the lower
+    half's k_A, each half's labels of its root ids start the joined labels
+    fk, and each open top edge (u, u + 2^(d-1)) adds the pair
+    (fk[f_A[u]], fk[k_A + f_B[u]]).  The later rounds run unchanged on the
+    k_A + k_B root ids along these pairs, and each half maps back to vertex
+    labels on its own thread.  So one labeling forks twice, and the later
+    rounds of each half, which at d = 24 took a third of a two-thread
+    labeling when they ran after the join, run side by side as well.  The
+    two threads share no array they write: each writes its own half of f
+    and of the scratch, which the calling thread allocates, so that the
+    largest arrays do not live in the second thread's malloc arena.
+
+    Memory decides where each array lives.  The scratch array (the first
+    jump's spare, then the numbering's ranks) is the one extra n-length
+    array, and it is freed before the first relabel.  While the bases are
+    alive the roots are held only as a packed bitmap (n / 8 bytes); the
+    int32 roots are unpacked from it after the later rounds, when the pair
+    lists are gone.  The pair parts are joined into one list while each
+    part is freed once copied.  fk is allocated only after that join:
+    allocated before it, it left a d = 24 labeling on one CPU up to 17 MB
+    (7 %) more peak RSS, with the same traced peak.
 
     Labels come out canonical with no relabeling pass.  f[x] is always a
     vertex of x's component and f[x] <= x, so a component's minimum never
     moves off itself, and so a component's minimum vertex is always a
-    first-jump root.  The numbering keeps the order, so the rounds over
-    root ids name each component by its minimum id, which is the id of its
-    minimum root.  When the loop ends every open edge joins equal labels,
-    so each component has exactly one root id, and it maps back to the
-    component's minimum vertex.  The component sizes are counted from the
-    sorted labels.
+    first-jump root (of its half, on two threads).  The numbering keeps the
+    vertex order, the lower half's ids before the upper half's, so the
+    rounds over root ids name each component by its minimum id, which is
+    the id of its minimum root.  When the loop ends every open edge joins
+    equal labels, so each component has exactly one root id, and it maps
+    back to the component's minimum vertex.  The component sizes are
+    counted from the sorted labels, on the calling thread.
 
-    ``threads`` only sizes the pool.  Each gather runs over near-equal
-    disjoint index ranges of at most ``_TASK`` entries: one range is called
-    directly on this thread, several are mapped on the pool, and the result
-    is the same to the byte for any thread count.  ``thread_count`` asks
-    for threads only from d = 19, where a cube fills more than two ranges;
-    below that the second core does not pay for the pool and the split
-    sampling.  A jump writes nxt[a:b] = f[f[a:b]] for
-    consecutive vertex ranges into an array that no range reads, and swaps
-    the two arrays only after every range is done, so it is f[f] in pieces.
-    The relabels and their filters of the unjoined pairs run per
-    consecutive pair range (the first per direction, where the directions
-    are large) and are joined in order, so the pairs keep their order.  The
-    hooks, the per-direction relabel, the root numbering, the final sort
-    and the statistics stay on one thread: np.minimum.at writes shared
-    labels.
+    Every pass (the jumps, the relabels, the gathers) runs over ranges of
+    at most ``_TASK`` entries, so that np.take's intp copy of an index
+    stays small.  The labels, and every field of the result, are the same
+    to the byte for any thread count.
     """
-    with _executor(threads) as pool:
-        f = np.arange(g.n, dtype=np.int32)
-        open_edges = 0
-        for i, u in enumerate(bases):
-            f[np.bitwise_or(u, 1 << i, dtype=np.intp)] = u
-            open_edges += u.size
-        f = _jump(pool, f)
-        k, bits = _compact(pool, f)
-        if open_edges < _DIRECT * len(bases):  # small directions: one list of all endpoints
-            lu, lv = np.concatenate(bases), np.concatenate([u | (1 << i) for i, u in enumerate(bases)])
-            parts = _map_ranges(pool, partial(_relabel_range, f, lu, lv), lu.size)
-        else:  # on this thread: see the docstring
-            parts = list(map(partial(_relabel_direction, f), range(len(bases)), bases))
-        del bases  # the only reference when the caller passes a fresh list
-        lu, lv = _joined(parts)
-        del parts
-        fk = np.arange(k, dtype=np.int32)  # labels of the root ids; after the join, see the docstring
-        while lu.size:
-            np.minimum.at(fk, np.maximum(lu, lv), np.minimum(lu, lv))
-            fk = _jump(pool, fk)
-            parts = _map_ranges(pool, partial(_relabel_range, fk, lu, lv), lu.size)
-            del lu, lv
-            lu, lv = _joined(parts)
-            del parts
-        # fk to the vertex of each root id's label, then f through fk
-        _map_ranges(pool, partial(_gather_range, _roots(bits, k), fk), k)
-        _map_ranges(pool, partial(_gather_range, fk, f), g.n)
-        del bits, fk, lu, lv
-    # on the giant-dominated labels of a supercritical draw the sort beats
-    # bincount, and it needs no intp copy of f or n-length int64 counts
-    ordered = f.copy()
-    ordered.sort()
-    first = np.empty(g.n + 1, dtype=bool)  # a label starts at k; k = n closes the last
-    first[0] = first[g.n] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
-    starts = first.nonzero()[0]
-    counts = starts[1:] - starts[:-1]  # component sizes, by ascending label
-    top = np.partition(counts, -2)[-2:] if counts.size >= 2 else (0, counts[0])
-    return ComponentLabeling(
-        l1=int(top[1]),
-        l2=int(top[0]),
-        component_sizes=counts,
-        n_components=int(counts.size),
-        open_edges=open_edges,
-        _vertex_labels=f,
-        _component_labels=ordered[starts[:-1]],
+    if _checked(threads) == 1 or g.d == 1:
+        return _label_whole(g, bases)
+    h = g.n >> 1
+    cuts = [int(np.searchsorted(u, h)) for u in bases[:-1]]  # where each direction's upper bases start
+    return _label_halves(
+        g,
+        lambda: [u[:j] for u, j in zip(bases, cuts)] + [bases[-1]],
+        lambda: [u[j:] - h for u, j in zip(bases, cuts)] + [bases[-1][:0]],
     )
 
 
@@ -374,30 +480,46 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     mask = open_edges.open_mask if isinstance(open_edges, EdgeSample) else np.asarray(open_edges, dtype=bool)
     if mask.shape != (g.m,):
         raise ValueError(f"open mask must have shape ({g.m},), got {mask.shape}")
-    return label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
+    return _label_whole(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
 
 
 def per_direction(share: Callable[[range], list], d: int, threads: int = 1) -> list:
-    """``share(range(d))`` on ``threads`` threads: each thread calls
-    ``share`` on a consecutive range of directions, and the lists it returns,
-    one item per direction, are joined in direction order."""
-    with _executor(threads) as pool:
-        ranges = [range(s.start, s.stop) for s in _split(d, threads)]
-        return [item for part in pool.map(share, ranges) for item in part]
+    """``share(range(d))``, with ``threads`` >= 2 on two threads: each
+    calls ``share`` on one of two consecutive ranges of directions, and the
+    lists they return, one item per direction, are joined in direction
+    order."""
+    if _checked(threads) == 1:
+        return share(range(d))
+    lower, upper = _side_by_side(partial(share, range(d // 2)), partial(share, range(d // 2, d)))
+    return lower + upper
 
 
-def _sample_bases(g: CubeGraph, key: SampleKey, p: float, directions: range) -> list[np.ndarray]:
-    # the open base endpoints of a range of directions, sampled into its own buffer
-    return [direction_bases(mask, i) for i, mask in zip(directions, sample_directions(g, key, p, directions))]
+def _sample_bases(g: CubeGraph, key: SampleKey, p: float, window: range | None = None) -> list[np.ndarray]:
+    # the open base endpoints of every direction over a window of its
+    # counters (``sample_directions``), sampled into one buffer: over a
+    # half's window, in the half's own ids below the top direction, and as
+    # lower-half vertices in it
+    bases = [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p, window=window))]
+    if window is not None and window.start:
+        bases[-1] += window.start
+    return bases
 
 
 def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> ComponentLabeling:
     """``label_components(g, sample_edges(g, key, p))``, streamed: each
     direction is sampled into one reused buffer and kept only as its open
-    base endpoints.  With ``threads`` > 1, each thread samples its own range
-    of directions (the counters are keyed, so the split moves no bit), and
-    ``label_bases`` runs on as many threads."""
-    return label_bases(g, per_direction(partial(_sample_bases, g, key, p), g.d, threads), threads)
+    base endpoints.  With ``threads`` >= 2, each half of the cube samples
+    its own window of every direction's counters on its own thread (the
+    counters are keyed, so the split moves no bit) and runs its first
+    phase there (``label_bases``)."""
+    if _checked(threads) == 1 or g.d == 1:
+        return _label_whole(g, _sample_bases(g, key, p))
+    q = g.n >> 2  # each half's share of a direction's 2^(d-1) counters
+    return _label_halves(
+        g,
+        partial(_sample_bases, g, key, p, range(q)),
+        partial(_sample_bases, g, key, p, range(q, 2 * q)),
+    )
 
 
 @dataclass(frozen=True)

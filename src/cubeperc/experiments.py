@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from contextlib import ExitStack
 from dataclasses import MISSING, Field, dataclass, field, fields
 from functools import partial
@@ -336,17 +337,24 @@ _SCALAR_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _typed(typ: type, value) -> bool:
-    # a ``typ`` itself, or an int for a float key.  A bool is refused for
-    # every key: it is an int, but True is no count, dimension or rate
-    return not isinstance(value, bool) and (isinstance(value, typ) or typ is float and isinstance(value, int))
+    # a ``typ`` itself, or an int for a float key that a float can hold
+    # (a larger one would overflow where it is divided or widened).  A bool
+    # is refused for every key: it is an int, but True is no count,
+    # dimension or rate
+    if isinstance(value, bool):
+        return False
+    if typ is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, typ)
 
 
 def _parsed(typ: type, value):
     # a string parsed by ``typ`` and an int widened for a float key; any
-    # other value is left for ``validate`` to check
+    # other value, an int too large for a float among them, is left for
+    # ``validate`` to check
     if isinstance(value, str):
         return typ(value)
-    return float(value) if typ is float and _typed(int, value) else value
+    return float(value) if typ is float and _typed(float, value) else value
 
 
 def config_field_type(f: Field) -> type:

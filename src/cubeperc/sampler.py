@@ -26,10 +26,11 @@ seeded at ``state``, i.e. a bijection of the counter.
 
 Since every bit is a function of its counter alone, any split of the
 counters samples the same draw: ``sample_directions`` over disjoint ranges
-of directions may run on threads side by side.  ``_open_bits`` runs every
-window in passes of at most ``_PASS`` = 32768 counters on one import-time
-step table, long enough per numpy call for two threads to overlap; a
-``BitStream`` block of ``_BLOCK`` = 8192 counters is one pass.
+of directions, or disjoint windows of each direction's counters, may run on
+threads side by side.  ``_open_bits`` runs every window in passes of at
+most ``_PASS`` = 32768 counters on one import-time step table, long enough
+per numpy call for two threads to overlap; a ``BitStream`` block of
+``_BLOCK`` = 8192 counters is one pass.
 """
 
 from __future__ import annotations
@@ -178,30 +179,34 @@ def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
 
 
-def sample_directions(g, key: SampleKey, p: float, directions: range | None = None):
+def sample_directions(g, key: SampleKey, p: float, directions: range | None = None, window: range | None = None):
     """The draw of ``sample_edges`` one direction at a time, without the
     m-length mask: yields, for each i of ``directions`` (consecutive, all d
     by default), the bool array whose entry k is whether edge
-    i * 2^(d-1) + k is open.
+    i * 2^(d-1) + window[k] is open.  ``window`` is a nonempty range of
+    consecutive offsets in [0, 2^(d-1)), all of them by default; a half of
+    the cube owns one half of every direction's offsets.
 
     Each item is a view into one reused buffer, valid until the next item.
-    The buffer holds one direction's 2^(d-1) counters, or those of every
-    direction asked for when 2^(d-1) < _BLOCK: a direction that small costs
-    little more than numpy's fixed overhead per call, so one ``_open_bits``
-    call samples them all.  Calls over disjoint ranges of directions share
-    nothing, so threads may sample them side by side.
+    The buffer holds one window, or every whole direction asked for when
+    2^(d-1) < _BLOCK: a direction that small costs little more than numpy's
+    fixed overhead per call, so one ``_open_bits`` call samples them all.
+    Calls over disjoint directions or windows share nothing, so threads may
+    sample them side by side.
     """
+    half = 1 << (g.d - 1)
     directions = range(g.d) if directions is None else directions
+    window = range(half) if window is None else window
     if not directions:
         return
     threshold, state = _threshold(p), _stream_state(key)
-    half = 1 << (g.d - 1)
-    span = half if half >= _BLOCK else half * len(directions)
-    buf = np.empty(span, dtype=bool)
-    for start in range(directions.start * half, directions.stop * half, span):
-        _open_bits(state, start, threshold, buf)
-        for lo in range(0, span, half):
-            yield buf[lo:lo + half]
+    size = len(window)
+    step = len(directions) if size == half < _BLOCK else 1  # directions per call
+    buf = np.empty(size * step, dtype=bool)
+    for i in range(directions.start, directions.stop, step):
+        _open_bits(state, i * half + window.start, threshold, buf)
+        for lo in range(0, buf.size, size):
+            yield buf[lo:lo + size]
 
 
 @dataclass(frozen=True)

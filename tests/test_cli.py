@@ -91,7 +91,7 @@ def test_sim_summary_reports_wall_time_and_peak_rss(capsys):
     code, _, err = _run(capsys, "sim", "--d", "6", "--p", "0.3")
     assert code == 0
     summary = err.splitlines()[0]
-    assert re.fullmatch(r"Q\^6 at p=0\.3: l1=\d+ l2=\d+ components=\d+ wall=\d+\.\d\ds peak_rss=\d+MB", summary)
+    assert re.fullmatch(r"Q\^6 at p=0\.3: l1=\d+ l2=\d+ components=\d+ wall=\d+\.\d{3}s peak_rss=\d+MB", summary)
     assert int(summary.rsplit("peak_rss=", 1)[1][:-2]) > 0
 
 
@@ -134,9 +134,9 @@ def _usable_cpus(monkeypatch, cpus):
 
 
 # every usable CPU, up to the two that the split was measured on, from
-# d = 19, where a cube fills more than two _TASK ranges
+# d = 18, where each half of the cube fills a _TASK range
 @pytest.mark.parametrize(
-    "cpus,d,threads", [(2, 19, 2), (3, 19, 2), (1, 19, 1), (2, 18, 1), (1, 16, 1), (2, 15, 1)]
+    "cpus,d,threads", [(2, 19, 2), (3, 19, 2), (1, 19, 1), (2, 18, 2), (2, 17, 1), (1, 16, 1), (2, 15, 1)]
 )
 def test_sim_labels_on_every_cpu(capsys, monkeypatch, cpus, d, threads):
     import cubeperc.cli as cli_module

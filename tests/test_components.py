@@ -1,8 +1,6 @@
 import sys
 import threading
 from collections import Counter, deque
-from contextlib import nullcontext
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -230,10 +228,10 @@ def _all_fields(lab):
 )
 @settings(max_examples=40, deadline=None)
 def test_label_bases_equal_across_thread_counts(d, seed, p):
-    # uneven splits of the vertex and pair ranges give the serial labeling
-    # to the field, and that labeling is the closure oracle's; with _TASK
-    # at 7 every gather of more than 7 entries is mapped over ranges, as on
-    # a large cube
+    # the halves (any thread count >= 2) give the one-thread labeling to the
+    # field, and that labeling is the closure oracle's; with _TASK at 7
+    # every pass of more than 7 entries runs over several ranges, as on a
+    # large cube
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(seed), p).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
@@ -266,18 +264,8 @@ def _bfs_labels(g, mask):
     return labels
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("p", [0.1, 0.5])
-@pytest.mark.parametrize("d", [10, 11, 12])
-def test_label_bases_on_both_sides_of_direct(d, p, threads):
-    # both sides of a pass's direct call, which it makes when the pass fits
-    # one _TASK range: with _TASK at 2048, n = 1024 and 2048 jump in one
-    # direct call and n = 4096 maps its jumps over two ranges; the pair
-    # lists fall on either side as well
-    g = CubeGraph(d)
-    mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
-    with mock.patch.object(components, "_TASK", 1 << 11):
-        lab = label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
+def _assert_matches_bfs(g, mask, lab):
+    # the labeling's labels, sizes and counts against the BFS oracle
     oracle = _bfs_labels(g, mask)
     sizes = Counter(oracle)
     ranked = sorted(sizes.values(), reverse=True) + [0]
@@ -287,28 +275,78 @@ def test_label_bases_on_both_sides_of_direct(d, p, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+@pytest.mark.parametrize("d", [10, 11, 12, 13])
+def test_label_bases_on_both_sides_of_one_task_range(d, p, threads):
+    # both sides of a pass that fits one _TASK range: with _TASK at 2048, a
+    # whole cube of n = 1024 and 2048 jumps in one range and n = 4096 and
+    # 8192 over two or more; on two threads a half of d = 12 (2048
+    # vertices) jumps in one and a half of d = 13 over two.  The pair lists
+    # fall on either side as well
+    g = CubeGraph(d)
+    mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
+    with mock.patch.object(components, "_TASK", 1 << 11):
+        lab = label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
+    _assert_matches_bfs(g, mask, lab)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+@pytest.mark.parametrize("d", [10, 11, 12])
+def test_label_bases_on_both_sides_of_direct(monkeypatch, d, p, threads):
+    # the same draw with the first relabel per direction (_DIRECT at 1) and
+    # as one list of all endpoints (_DIRECT above any open-edge count), on
+    # the whole cube and on each half
+    calls = []
+    real = components._relabel_direction
+    monkeypatch.setattr(components, "_relabel_direction", lambda f, i, u: calls.append(i) or real(f, i, u))
+    g = CubeGraph(d)
+    mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
+    bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
+    for direct in (1, 1 << 30):
+        calls.clear()
+        with mock.patch.object(components, "_DIRECT", direct):
+            lab = label_bases(g, bases, threads)
+        assert bool(calls) == (direct == 1)
+        _assert_matches_bfs(g, mask, lab)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize(
-    "d, p, closed, per_direction",
+    "d, p, closed, whole, halves",
     [
-        (8, 0.2, None, False),  # 205 open edges: one list of all endpoints
-        (8, 0.2, 3, False),
-        (13, 0.6, None, True),  # ~2460 open edges per direction
-        (13, 0.6, 0, True),
-        (13, 0.6, 12, True),
-        (9, 0.0, None, False),
-        (9, 1.0, None, False),  # 256 per direction
-        (12, 1.0, None, True),  # 2048 = _DIRECT per direction
+        # ids d-p-closed-whole
+        pytest.param(*row, id="-".join(map(str, row[:4])))
+        for row in [
+            (8, 0.2, None, False, False),  # 205 open edges: one list of all endpoints
+            (8, 0.2, 3, False, False),
+            (13, 0.6, None, True, False),  # ~2460 open edges per direction, ~1230 per half
+            (13, 0.6, 0, True, False),
+            (13, 0.6, 12, True, False),  # the top direction closed
+            (14, 0.6, None, True, True),  # ~2460 per direction of a half
+            (14, 0.6, 0, True, True),
+            (14, 0.6, 13, True, True),
+            (9, 0.0, None, False, False),
+            (9, 1.0, None, False, False),  # 256 per direction
+            (12, 1.0, None, True, False),  # 2048 = _DIRECT per direction
+            (13, 1.0, None, True, True),  # 2048 = _DIRECT per direction of a half
+        ]
     ],
 )
-def test_first_relabel_per_direction(monkeypatch, d, p, closed, per_direction, threads):
+def test_first_relabel_per_direction(monkeypatch, d, p, closed, whole, halves, threads):
     # the first relabel on both sides of _DIRECT open edges per direction,
-    # with a direction that has no open edge, and at p = 0 and 1; the
-    # caller's base arrays come back unchanged
+    # of the whole cube on one thread and of each half on two, with a
+    # direction that has no open edge, and at p = 0 and 1.  Each half
+    # relabels its d - 1 directions on its own; the top direction's pairs
+    # are gathered where the halves join.  The caller's base arrays come
+    # back unchanged
     calls = Counter()
+    lock = threading.Lock()
     real = components._relabel_direction
 
     def counting(f, i, u):
-        calls[i] += 1
+        with lock:
+            calls[i] += 1
         return real(f, i, u)
 
     monkeypatch.setattr(components, "_relabel_direction", counting)
@@ -320,23 +358,20 @@ def test_first_relabel_per_direction(monkeypatch, d, p, closed, per_direction, t
     bases = [direction_bases(row, i) for i, row in enumerate(rows)]
     kept = [u.copy() for u in bases]
     lab = label_bases(g, bases, threads)
-    assert calls == (Counter(range(d)) if per_direction else Counter())
+    if threads == 1:
+        assert calls == (Counter(range(d)) if whole else Counter())
+    else:
+        assert calls == (Counter(2 * list(range(d - 1))) if halves else Counter())
     assert all(np.array_equal(u, k) and u.dtype == k.dtype for u, k in zip(bases, kept))
-    oracle = _bfs_labels(g, mask)
-    sizes = Counter(oracle)
-    ranked = sorted(sizes.values(), reverse=True) + [0]
-    assert lab.labels.tolist() == oracle
-    assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
-    assert (lab.l1, lab.l2, lab.n_components, lab.open_edges) == (ranked[0], ranked[1], len(sizes), mask.sum())
+    _assert_matches_bfs(g, mask, lab)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("d", [17, 18])
 def test_label_sample_equal_across_thread_counts(d, threads):
-    # a direction's counters fill whole sampling passes, and at d = 18 the
-    # n-length passes (the first jump and the gathers over all vertices)
-    # split into two ranges on the pool; the relabels and the k-length
-    # passes fit one range and run directly
+    # a direction's counters fill whole sampling passes, and on two threads
+    # each half samples its window of them, one pass at d = 17 and two at
+    # d = 18, where a half's first jump fills one _TASK range
     g = CubeGraph(d)
     key = SampleKey(2**50 + 1, d)
     expected = _labeling_fields(label_components(g, sample_edges(g, key, 2 / d)), d * d, g)
@@ -393,43 +428,53 @@ def test_split_covers_in_order():
         assert (len(slices) == 1) == (n <= _TASK)
 
 
-def test_one_range_passes_never_touch_the_pool(monkeypatch):
-    # at d = 10 every pass is one range of at most _TASK entries, called
-    # directly on the calling thread even when the labeling has a pool
-    def refuse(fn, ranges):
-        raise AssertionError("a one-range pass was mapped on the pool")
+def test_a_labeling_forks_twice_on_two_threads_and_never_on_one(monkeypatch):
+    # on two threads a labeling has one parallel section, the halves' first
+    # phases, plus the back-map; no pass is mapped on a pool, and one
+    # thread starts none
+    forks = []
+    real = components._side_by_side
 
-    g = CubeGraph(10)
-    mask = sample_edges(g, SampleKey(2**36, 1), 2 / 10).open_mask
+    def counting(first, second):
+        forks.append(threading.current_thread())
+        return real(first, second)
+
+    monkeypatch.setattr(components, "_side_by_side", counting)
+    g = CubeGraph(19)  # each half's first jump runs over two _TASK ranges
+    key = SampleKey(2**36, 1)
+    mask = sample_edges(g, key, 2 / 19).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))]
-    serial = _all_fields(label_bases(g, bases))
-    monkeypatch.setattr(components, "_executor", lambda threads: nullcontext(SimpleNamespace(map=refuse)))
-    assert _all_fields(label_bases(g, bases, 2)) == serial
+    whole = _all_fields(label_bases(g, bases))
+    assert not forks
+    assert _all_fields(label_bases(g, bases, 2)) == whole
+    assert _all_fields(label_sample(g, key, 2 / 19, 2)) == whole
+    assert forks == [threading.current_thread()] * 4
 
 
 def test_jump_ranges_partition_the_vertices(monkeypatch):
-    # every jump step over an array hands the pool the same ranges, and they
+    # every jump pass over an array runs the same ranges, and they
     # partition the array: an overlap would write some labels twice
     # (harmlessly, so no labeling shows it), a gap would leave some
-    # unjumped.  The first jump spans [0, n); every later one spans the k < n
-    # root ids of the contracted rounds
-    import cubeperc.components as components
-
+    # unjumped.  On two threads each half's first jump spans its 2^(d-1)
+    # vertices, the same ranges in each half's own ids; every later one
+    # spans the root ids of a half (k_A, k_B) or of both (k_A + k_B)
     seen = {}
+    lock = threading.Lock()
     real = components._jump_range
 
     def recording(f, out, s):
-        seen.setdefault(f.size, Counter())[s.start, s.stop] += 1
+        with lock:
+            seen.setdefault(f.size, Counter())[s.start, s.stop] += 1
         return real(f, out, s)
 
     monkeypatch.setattr(components, "_jump_range", recording)
     g = CubeGraph(19)
     label_sample(g, SampleKey(8), 2 / 19, 2)
     sizes = sorted(seen, reverse=True)
-    assert len(sizes) == 2 and sizes[0] == g.n and 0 < sizes[1] < g.n
+    assert sizes[0] == g.n // 2 and 3 <= len(sizes) <= 4
     for size, steps in seen.items():
         ranges = sorted(steps)
-        assert len(ranges) >= 2 and len(set(steps.values())) == 1
+        assert (len(ranges) >= 2) == (size > _TASK) and len(set(steps.values())) == 1
         assert ranges[0][0] == 0 and ranges[-1][1] == size
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
@@ -444,33 +489,55 @@ def _gray_mask(g):
     return mask
 
 
-# (d, p, trial, later rounds): None where any count is right
-_CONTRACTED = [(d, p, 5, None) for d in (2, 5, 10, 12, 16) for p in sorted({1 / d, 2 / d, 0.5} - {1.0})]
-_CONTRACTED += [(d, p, 5, 0) for d in (2, 5, 10, 12, 16) for p in (0.0, 1.0)]  # k = n; one root
-_CONTRACTED += [(5, 1 / 5, 8, 0), (10, "gray", 0, 3), (12, "gray", 0, 3)]  # 15 open edges, no pair left
+def _rounds(d, p, trial, whole, halves):
+    # a row (d, p, trial, later rounds on one thread, on two): the range each
+    # count lies in, None where any count is right; its id names the least
+    # one-thread count, as d-p-trial-least
+    return pytest.param(d, p, trial, whole, halves, id=f"{d}-{p}-{trial}-{whole and whole.start}")
 
 
-@pytest.mark.parametrize("d, p, trial, later", _CONTRACTED)
-def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, later):
+_CONTRACTED = [_rounds(d, p, 5, None, None) for d in (2, 5, 10, 12, 16) for p in sorted({1 / d, 2 / d, 0.5} - {1.0})]
+_CONTRACTED += [_rounds(d, 0.0, 5, range(1), range(1)) for d in (2, 5, 10, 12, 16)]  # k = n, no pair
+_CONTRACTED += [_rounds(d, 1.0, 5, range(1), range(1, 2)) for d in (2, 5, 10, 12, 16)]  # one root; one per half
+_CONTRACTED += [_rounds(5, 1 / 5, 8, range(1), None)]  # 15 open edges, no pair left on one thread
+_CONTRACTED += [_rounds(d, "gray", 0, range(3, 99), range(3, 99)) for d in (10, 12)]
+
+
+@pytest.mark.parametrize("d, p, trial, whole, halves", _CONTRACTED)
+def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, whole, halves):
     # the rounds after the first jump run on the k root ids: the labeling is
     # the BFS oracle's on every thread count and range split, and the
-    # caller's bases come back unchanged.  No later round runs at p = 0
-    # (k = n), at p = 1 (one root) or where the first relabel joins every
-    # pair, and the Gray-code path takes at least three
+    # caller's bases come back unchanged.  One thread makes one first jump
+    # and one contraction, two make one per half; the later rounds count
+    # each half's own and the join's.  No later round runs at p = 0 (k = n)
+    # or where the first relabel joins every pair; at p = 1 the whole cube
+    # has one root and each half one, which the top direction joins in one
+    # round; the Gray-code path takes at least three
     rounds, roots = Counter(), []
-    real_jump, real_compact = components._jump, components._compact
+    lock, phase = threading.Lock(), threading.local()
+    real_jump, real_compact, real_first = components._jump, components._compact, components._first_phase
 
-    def jump(pool, f):
-        rounds[f.size < g.n] += 1
-        return real_jump(pool, f)
+    def jump(f, spare):
+        with lock:
+            rounds[getattr(phase, "later", True)] += 1
+        real_jump(f, spare)
 
-    def compact(pool, f):
-        k, bits = real_compact(pool, f)
-        roots.append(k)
+    def compact(f, rank):
+        k, bits = real_compact(f, rank)
+        with lock:
+            roots.append(k)
         return k, bits
+
+    def first_phase(f, scratch, bases):  # on each half's own thread
+        phase.later = False
+        try:
+            return real_first(f, scratch, bases)
+        finally:
+            phase.later = True
 
     monkeypatch.setattr(components, "_jump", jump)
     monkeypatch.setattr(components, "_compact", compact)
+    monkeypatch.setattr(components, "_first_phase", first_phase)
     g = CubeGraph(d)
     mask = _gray_mask(g) if p == "gray" else sample_edges(g, SampleKey(2**35 + d, trial), p).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
@@ -481,6 +548,7 @@ def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, later
     for threads, task in [(1, None), (2, None), (3, None), (1, 1 << 9), (2, 1 << 9)]:
         rounds.clear()
         roots.clear()
+        parts = 1 if threads == 1 else 2
         # with _TASK at 2^9 every pass of a cube from d = 10 on runs over
         # several ranges, as a large cube's do
         with mock.patch.object(components, "_TASK", task or components._TASK):
@@ -489,12 +557,81 @@ def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, later
         assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
         assert (lab.l1, lab.l2, lab.n_components, lab.open_edges) == (ranked[0], ranked[1], len(sizes), mask.sum())
         assert all(np.array_equal(u, k) and u.dtype == k.dtype for u, k in zip(bases, kept))
-        assert rounds[False] == 1 and len(roots) == 1  # one jump and one contraction over n
-        assert roots[0] == {0.0: g.n, 1.0: 1}.get(p, roots[0])
-        if later == 0:
-            assert rounds[True] == 0
-        elif later is not None:
-            assert rounds[True] >= later
+        assert rounds[False] == len(roots) == parts  # one first jump and one contraction per part
+        assert sum(roots) == {0.0: g.n, 1.0: parts}.get(p, sum(roots))
+        expected = whole if threads == 1 else halves
+        assert expected is None or rounds[True] in expected
+
+
+def _assert_halves_match(g, mask):
+    # the labeling on two threads (the halves) against one thread and the
+    # BFS oracle, to every field; returns the oracle's labels
+    bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))]
+    whole = _all_fields(label_bases(g, bases))
+    oracle = _bfs_labels(g, mask)
+    assert whole[7] == oracle
+    assert _all_fields(label_bases(g, bases, 2)) == whole
+    return oracle
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 12, 16])
+def test_halves_match_one_thread_and_bfs(d):
+    # label_sample samples each half's window on its own thread, label_bases
+    # slices the given bases; both join the halves along the top direction
+    g = CubeGraph(d)
+    for trial, p in enumerate(sorted({0.0, 1 / d, min(1.0, 2 / d), 0.5, 1.0})):
+        key = SampleKey(2**37 + d, trial)
+        mask = sample_edges(g, key, p).open_mask
+        _assert_halves_match(g, mask)
+        assert _all_fields(label_sample(g, key, p, 2)) == _all_fields(label_sample(g, key, p))
+
+
+def _mask_of(g, edges):
+    # the edge mask of the open edges (u, v), given as vertex pairs
+    mask = np.zeros(g.m, dtype=bool)
+    for u, v in edges:
+        mask[edge_index(g, EdgeRef(min(u, v), (u ^ v).bit_length() - 1))] = True
+    return mask
+
+
+def test_halves_join_a_component_through_several_top_edges():
+    # Q^3: the lower half is {0..3}, the upper {4..7}, and the top edges
+    # join u and u + 4.  The 4-cycle 0-1-5-4 crosses twice, and 2-6-7-3
+    # crosses at both ends; 2 and 3 meet only through the upper half
+    g = CubeGraph(3)
+    oracle = _assert_halves_match(g, _mask_of(g, [(0, 1), (1, 5), (5, 4), (4, 0), (2, 6), (6, 7), (7, 3)]))
+    assert oracle == [0, 0, 2, 2, 0, 0, 2, 2]
+
+
+def test_halves_join_lower_components_only_through_the_upper_half():
+    # in Q^4 the lower vertices 0 and 7 share no lower path; the upper path
+    # 8-9-11-15 joins them through the top edges 0-8 and 7-15, and the
+    # upper component, labeled 0 in the upper half's own ids, takes the
+    # lower vertex 0 as its label
+    g = CubeGraph(4)
+    oracle = _assert_halves_match(g, _mask_of(g, [(0, 8), (8, 9), (9, 11), (11, 15), (15, 7), (5, 7), (12, 14)]))
+    assert [oracle[v] for v in (0, 5, 7, 8, 9, 11, 15)] == [0] * 7
+    assert oracle[12] == oracle[14] == 12 and oracle[13] == 13 and oracle[1] == 1
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_halves_with_the_top_direction_closed(d):
+    # no top edge: each half's components stay apart, and every upper
+    # label is an upper vertex
+    g = CubeGraph(d)
+    for trial, p in enumerate((0.3, 0.7, 1.0)):
+        mask = sample_edges(g, SampleKey(2**38 + d, trial), p).open_mask.copy()
+        mask.reshape(d, -1)[d - 1] = False
+        oracle = _assert_halves_match(g, mask)
+        assert all(label >= g.n // 2 for label in oracle[g.n // 2:])
+
+
+@pytest.mark.parametrize("d", [5, 10])
+def test_sprinkling_rows_on_halves(d):
+    # a sprinkling trial labels both rounds' bases, sliced into halves
+    for trial in range(4):
+        args = (11, trial, d, 1.5 / d, d ** -2.0, d)
+        assert _sprinkling_trial(args, threads=2) == _sprinkling_trial(args)
 
 
 def test_label_sample_footprint_d16():

@@ -186,6 +186,21 @@ def test_config_refuses_values_of_another_type(kind, key, value):
         ExperimentConfig(**{**good, key: value})
 
 
+@pytest.mark.parametrize("key, value", [("c", 10**400), ("c", -(2**1024)), ("p2_exponent", 2**1024 - 2**970)])
+def test_config_refuses_an_int_too_large_for_a_float(key, value):
+    # such an int once escaped ``validate`` as OverflowError, at c / d
+    with pytest.raises(ConfigError, match=f"config key {key} must be of type float"):
+        ExperimentConfig(**{"kind": "gw", "d": 4, "c": 2.0, key: value})
+    big = sys.float_info.max
+    assert ExperimentConfig(kind="gw", d=4, c=2, p2_exponent=int(big)).p2_exponent == big  # the largest that fits
+
+
+def test_from_mapping_refuses_an_int_too_large_for_a_float():
+    # once an OverflowError at the widening float(value)
+    with pytest.raises(ConfigError, match="config key c must be of type float"):
+        ExperimentConfig.from_mapping({"kind": "gw", "d": 4, "c": 10**400})
+
+
 @pytest.mark.parametrize("kind", sorted(k for k in KINDS if KINDS[k].param == "c"))
 def test_config_rejects_c_beyond_d(kind):
     # these kinds sample or branch at p = c/d, which must not exceed 1
@@ -318,7 +333,8 @@ def _record_threads(monkeypatch, cpus):
         (1, 2, 19, 2),  # one process: both CPUs label
         (2, 2, 19, 1),  # two processes: one CPU each
         (2, 1, 19, 2),  # one trial needs no pool, so its process has both
-        (1, 2, 18, 1),  # 2^18 vertices fill only two _TASK ranges: one thread
+        (1, 2, 18, 2),  # each half of 2^17 vertices fills a _TASK range
+        (1, 2, 17, 1),  # a half smaller than a _TASK range: one thread
         (2, 2, 16, 1),  # and so does a smaller cube, on any number of processes
         (1, 2, 15, 1),
     ],
@@ -340,9 +356,9 @@ def test_processes_times_threads_never_exceed_the_cpus(monkeypatch):
         for processes in range(1, cpus + 1):
             threads = experiments.thread_count(20, processes)
             assert 1 <= threads and processes * threads <= cpus
-        for d in (19, 20):
+        for d in (18, 19, 20):
             assert experiments.thread_count(d, 1) == min(cpus, 2)  # capped at the 2 measured
-        for d in (2, 15, 16, 17, 18):  # at most two _TASK ranges: one thread
+        for d in (2, 15, 16, 17):  # a half smaller than a _TASK range: one thread
             assert experiments.thread_count(d, 1) == 1
 
 

@@ -133,6 +133,19 @@ def test_trial_pairs_dry_run_alternates(tmp_path):
     ]
 
 
+def test_trial_call_takes_a_thread_count(monkeypatch):
+    # --threads sets a side's thread count in place of thread_count(d); the
+    # rows do not depend on it
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    trial_pairs = importlib.import_module("trial_pairs")
+    import cubeperc.experiments as experiments
+
+    default, threads = trial_pairs.trial_call(experiments, 10)
+    assert threads == experiments.thread_count(10) == 1
+    forced, threads = trial_pairs.trial_call(experiments, 10, 2)
+    assert threads == 2 and forced(3) == default(3)
+
+
 @pytest.fixture
 def bench_pairs(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
@@ -142,7 +155,7 @@ def bench_pairs(monkeypatch):
 METRICS = [
     {"name": "rate", "unit": "1/s", "better": "higher"},
     {"name": "ms", "unit": "ms", "better": "lower"},
-    {"name": "wall_s", "unit": "s", "better": "lower"},  # printed to 10 ms, so often 0
+    {"name": "wall_s", "unit": "s", "better": "lower"},  # printed to 1 ms, so it may read 0
 ]
 
 
