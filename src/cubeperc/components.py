@@ -26,7 +26,8 @@ Only the first hook and jump of a labeling run on n-length label arrays
 that jump's k roots: the first relabel gathers each vertex's root id, every
 later round (np.minimum.at, the pointer jumps and the pair relabels) runs
 on k-length arrays, and one ranged gather maps each vertex back to a vertex
-label at the end.
+label at the end.  A labeling extends along more open edges (``extend``)
+by the same later rounds, over its component ids alone.
 """
 
 from __future__ import annotations
@@ -202,11 +203,13 @@ def _joined(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return _concatenated(lus), _concatenated(lvs)
 
 
-def _gather(src: np.ndarray, idx: np.ndarray) -> None:
-    # idx = src[idx] in place, by ranges: np.take casts a range's index to
-    # an intp copy before it writes
+def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # out = src[idx], in place in idx by default, by ranges: np.take casts
+    # a range's index to an intp copy before it writes; returns out
+    out = idx if out is None else out
     for s in _tasks(idx.size):
-        src.take(idx[s], out=idx[s], mode="clip")
+        src.take(idx[s], out=out[s], mode="clip")
+    return out
 
 
 def _rank_range(f: np.ndarray, rank: np.ndarray, k: int, s: slice) -> int:
@@ -250,12 +253,12 @@ def _roots(bits: list, out: np.ndarray) -> None:
 
 # Below this many open edges per direction on average, the first relabel
 # joins the endpoints into one pair list: a call per direction costs more
-# than it saves (``label_bases``).
+# than it saves (``label_sample``).
 _DIRECT = 1 << 11
 
 
 def _first_phase(f: np.ndarray, scratch: list, bases: list[np.ndarray]) -> tuple[int, list, list]:
-    # label_bases' first phase over f = identity, in f's own vertex ids:
+    # the labeling's first phase over f = identity, in f's own vertex ids:
     # the hook, the first jump, the root numbering and the first relabel.
     # ``scratch`` holds one array of f's length; it is taken out of the
     # list, so that it is freed after the numbering, before the relabel
@@ -287,6 +290,21 @@ def _later_rounds(k: int, parts: list, fk: np.ndarray | None = None) -> np.ndarr
     return fk
 
 
+def _result(f: np.ndarray, sizes: np.ndarray, labels: np.ndarray, open_edges: int) -> ComponentLabeling:
+    # the labeling of the vertex labels f, given its component sizes and
+    # labels by ascending label: l1 and l2 are the two largest sizes
+    top = np.partition(sizes, -2)[-2:] if sizes.size >= 2 else (0, sizes[0])
+    return ComponentLabeling(
+        l1=int(top[1]),
+        l2=int(top[0]),
+        component_sizes=sizes,
+        n_components=int(sizes.size),
+        open_edges=open_edges,
+        _vertex_labels=f,
+        _component_labels=labels,
+    )
+
+
 def _counted(f: np.ndarray, open_edges: int) -> ComponentLabeling:
     # the labeling of the vertex labels f: on the giant-dominated labels of
     # a supercritical draw the sort beats bincount, and it needs no intp
@@ -297,21 +315,11 @@ def _counted(f: np.ndarray, open_edges: int) -> ComponentLabeling:
     first[0] = first[f.size] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
     starts = first.nonzero()[0]
-    counts = starts[1:] - starts[:-1]  # component sizes, by ascending label
-    top = np.partition(counts, -2)[-2:] if counts.size >= 2 else (0, counts[0])
-    return ComponentLabeling(
-        l1=int(top[1]),
-        l2=int(top[0]),
-        component_sizes=counts,
-        n_components=int(counts.size),
-        open_edges=open_edges,
-        _vertex_labels=f,
-        _component_labels=ordered[starts[:-1]],
-    )
+    return _result(f, starts[1:] - starts[:-1], ordered[starts[:-1]], open_edges)
 
 
 def _label_whole(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
-    # the labeling on this thread (see label_bases)
+    # the labeling on this thread (see label_sample)
     f = np.arange(g.n, dtype=np.int32)
     open_edges = sum(u.size for u in bases)
     k, bits, parts = _first_phase(f, [np.empty_like(f)], bases)
@@ -352,7 +360,7 @@ def _top_pairs(fa: np.ndarray, fb: np.ndarray, fk: np.ndarray, ka: int, tops: tu
 
 
 def _label_halves(g: CubeGraph, lower: Callable[[], list], upper: Callable[[], list]) -> ComponentLabeling:
-    # the labeling with each half on a thread of its own (see label_bases).
+    # the labeling with each half on a thread of its own (see label_sample).
     # f and every half-length scratch array are allocated on this thread
     h = g.n >> 1
     f = np.arange(g.n, dtype=np.int32)
@@ -380,10 +388,43 @@ def _label_halves(g: CubeGraph, lower: Callable[[], list], upper: Callable[[], l
     return _counted(f, open_a + open_b)
 
 
-def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> ComponentLabeling:
-    """Label every vertex of Q^d with its component under the open edges
-    given per direction: ``bases[i]`` holds the int32 base endpoints u of
-    the open edges (u, u | 2^i), as ``direction_bases`` gives them.
+def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
+    """``label_sample``'s labeling of an EdgeSample or a boolean mask over
+    edge indices; direction i owns the indices [i * 2^(d-1), (i+1) * 2^(d-1))."""
+    mask = open_edges.open_mask if isinstance(open_edges, EdgeSample) else np.asarray(open_edges, dtype=bool)
+    if mask.shape != (g.m,):
+        raise ValueError(f"open mask must have shape ({g.m},), got {mask.shape}")
+    return _label_whole(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
+
+
+def label_windows(g: CubeGraph, bases_of: Callable[[range], list], threads: int = 1) -> ComponentLabeling:
+    """The labeling of the open edges that ``bases_of(window)`` gives for a
+    window of every direction's counters (``sample_directions``): one array
+    of int32 base endpoints per direction, in the window's own vertex ids
+    below the top direction and as lower-half vertices in it.  On one
+    thread the window is all of them; with ``threads`` >= 2 each half of
+    the cube calls ``bases_of`` on its own window, on a thread of its own
+    (see ``label_sample``)."""
+    if _checked(threads) == 1 or g.d == 1:
+        return _label_whole(g, bases_of(range(g.n >> 1)))
+    q = g.n >> 2  # each half's share of a direction's 2^(d-1) counters
+    return _label_halves(g, partial(bases_of, range(q)), partial(bases_of, range(q, 2 * q)))
+
+
+def _sample_bases(g: CubeGraph, key: SampleKey, p: float, window: range) -> list[np.ndarray]:
+    # the open base endpoints of every direction over a window of its
+    # counters, sampled into one buffer, as label_windows takes them
+    bases = [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p, window))]
+    bases[-1] += window.start
+    return bases
+
+
+def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> ComponentLabeling:
+    """Label every vertex of Q^d with its component in the draw
+    ``sample_edges(g, key, p)``, as ``label_components`` would, streamed:
+    each direction is sampled into one reused buffer and kept only as the
+    int32 base endpoints u of its open edges (u, u | 2^i), as
+    ``direction_bases`` gives them, so the m-length mask is never held.
 
     Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): start
     from f = identity; while some open edge (u, v) has f[u] != f[v], hook the
@@ -398,15 +439,14 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     leave it.  The hook scatters through intp indices: at d = 20 and c = 2
     it took 6.3 ms on one thread against 9.0 ms through int32 ones (best of
     7).  After the first jump each direction is relabeled on its own: f
-    gathered at bases[i] and at bases[i] | 2^i, keeping only the pairs
-    still unjoined, so no array of all the endpoints is built.  Where the
+    gathered at its bases u and at u | 2^i, keeping only the pairs still
+    unjoined, so no array of all the endpoints is built.  Where the
     directions average fewer than ``_DIRECT`` open edges, a call per
     direction costs more than it saves, and the endpoints are joined into
-    one pair list and relabeled by ranges like a later round.  The caller's
-    arrays are only read.  From then on the loop carries only the label
-    pairs (lu, lv) of the edges still unjoined, not the edges: hooks write
-    only roots and f is a star after jumping, so u's new label f'[u] equals
-    f'[f[u]], i.e. lu -> f[lu].
+    one pair list and relabeled by ranges like a later round.  From then on
+    the loop carries only the label pairs (lu, lv) of the edges still
+    unjoined, not the edges: hooks write only roots and f is a star after
+    jumping, so u's new label f'[u] equals f'[f[u]], i.e. lu -> f[lu].
 
     After the first jump the labeling contracts onto its k roots
     (``_compact``): they are numbered 0..k-1 in increasing vertex order by
@@ -419,23 +459,24 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     through its root ids and fk to vertex labels, in place.
 
     With ``threads`` >= 2 (any such count; d >= 2) the two halves of the
-    cube are labeled side by side.  Q^d is two copies of Q^(d-1), the
-    vertices below 2^(d-1) and those above, joined by the perfect matching
-    of the top direction d - 1.  Each half runs the labeling above, first
-    phase and later rounds, in its own vertex ids, the lower half on the
-    calling thread and the upper on a second one; ``label_bases`` slices
-    each direction's sorted bases at the halves' boundary.  The calling
-    thread then joins them: the upper half's root ids follow the lower
-    half's k_A, each half's labels of its root ids start the joined labels
-    fk, and each open top edge (u, u + 2^(d-1)) adds the pair
-    (fk[f_A[u]], fk[k_A + f_B[u]]).  The later rounds run unchanged on the
-    k_A + k_B root ids along these pairs, and each half maps back to vertex
-    labels on its own thread.  So one labeling forks twice, and the later
-    rounds of each half, which at d = 24 took a third of a two-thread
-    labeling when they ran after the join, run side by side as well.  The
-    two threads share no array they write: each writes its own half of f
-    and of the scratch, which the calling thread allocates, so that the
-    largest arrays do not live in the second thread's malloc arena.
+    cube are labeled side by side (``label_windows``).  Q^d is two copies
+    of Q^(d-1), the vertices below 2^(d-1) and those above, joined by the
+    perfect matching of the top direction d - 1.  Each half samples its own
+    window of every direction's counters (the counters are keyed, so the
+    split moves no bit) and runs the labeling above, first phase and later
+    rounds, in its own vertex ids, the lower half on the calling thread and
+    the upper on a second one.  The calling thread then joins them: the
+    upper half's root ids follow the lower half's k_A, each half's labels
+    of its root ids start the joined labels fk, and each open top edge
+    (u, u + 2^(d-1)) adds the pair (fk[f_A[u]], fk[k_A + f_B[u]]).  The
+    later rounds run unchanged on the k_A + k_B root ids along these pairs,
+    and each half maps back to vertex labels on its own thread.  So one
+    labeling forks twice, and the later rounds of each half, which at
+    d = 24 took a third of a two-thread labeling when they ran after the
+    join, run side by side as well.  The two threads share no array they
+    write: each writes its own half of f and of the scratch, which the
+    calling thread allocates, so that the largest arrays do not live in the
+    second thread's malloc arena.
 
     Memory decides where each array lives.  The scratch array (the first
     jump's spare, then the numbering's ranks) is the one extra n-length
@@ -463,63 +504,39 @@ def label_bases(g: CubeGraph, bases: list[np.ndarray], threads: int = 1) -> Comp
     stays small.  The labels, and every field of the result, are the same
     to the byte for any thread count.
     """
-    if _checked(threads) == 1 or g.d == 1:
-        return _label_whole(g, bases)
-    h = g.n >> 1
-    cuts = [int(np.searchsorted(u, h)) for u in bases[:-1]]  # where each direction's upper bases start
-    return _label_halves(
-        g,
-        lambda: [u[:j] for u, j in zip(bases, cuts)] + [bases[-1]],
-        lambda: [u[j:] - h for u, j in zip(bases, cuts)] + [bases[-1][:0]],
-    )
+    return label_windows(g, partial(_sample_bases, g, key, p), threads)
 
 
-def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
-    """``label_bases`` over an EdgeSample or a boolean mask over edge
-    indices; direction i owns the indices [i * 2^(d-1), (i+1) * 2^(d-1))."""
-    mask = open_edges.open_mask if isinstance(open_edges, EdgeSample) else np.asarray(open_edges, dtype=bool)
-    if mask.shape != (g.m,):
-        raise ValueError(f"open mask must have shape ({g.m},), got {mask.shape}")
-    return _label_whole(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
+def extend(labeling: ComponentLabeling, extra: list) -> ComponentLabeling:
+    """The labeling after more edges open: ``extra`` lists (i, u), the int32
+    base endpoints u, in vertex ids, of open edges (u, u | 2^i) of
+    direction i that ``labeling`` did not count.
 
-
-def per_direction(share: Callable[[range], list], d: int, threads: int = 1) -> list:
-    """``share(range(d))``, with ``threads`` >= 2 on two threads: each
-    calls ``share`` on one of two consecutive ranges of directions, and the
-    lists they return, one item per direction, are joined in direction
-    order."""
-    if _checked(threads) == 1:
-        return share(range(d))
-    lower, upper = _side_by_side(partial(share, range(d // 2)), partial(share, range(d // 2, d)))
-    return lower + upper
-
-
-def _sample_bases(g: CubeGraph, key: SampleKey, p: float, window: range | None = None) -> list[np.ndarray]:
-    # the open base endpoints of every direction over a window of its
-    # counters (``sample_directions``), sampled into one buffer: over a
-    # half's window, in the half's own ids below the top direction, and as
-    # lower-half vertices in it
-    bases = [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p, window=window))]
-    if window is not None and window.start:
-        bases[-1] += window.start
-    return bases
-
-
-def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> ComponentLabeling:
-    """``label_components(g, sample_edges(g, key, p))``, streamed: each
-    direction is sampled into one reused buffer and kept only as its open
-    base endpoints.  With ``threads`` >= 2, each half of the cube samples
-    its own window of every direction's counters on its own thread (the
-    counters are keyed, so the split moves no bit) and runs its first
-    phase there (``label_bases``)."""
-    if _checked(threads) == 1 or g.d == 1:
-        return _label_whole(g, _sample_bases(g, key, p))
-    q = g.n >> 2  # each half's share of a direction's 2^(d-1) counters
-    return _label_halves(
-        g,
-        partial(_sample_bases, g, key, p, range(q)),
-        partial(_sample_bases, g, key, p, range(q, 2 * q)),
-    )
+    The new components are the labeling's components joined along the new
+    edges, so the hooking runs over its k component ids alone, numbered in
+    ascending label order.  One n-length table maps each component's label
+    to its id; the new edges' endpoints are gathered through the vertex
+    labels and the table, the pairs still unjoined run through the later
+    rounds of ``label_sample`` over the ids, and every id ends labeled by
+    the smallest id joined to it, which is the id of the smallest label.
+    The sizes are the joined components' sums (np.bincount weighted by the
+    old sizes), and the table, rewritten to each component's new label,
+    maps every vertex in one ranged gather.  No sort and no n-length jump
+    runs; the result equals the labeling of both edge sets at once, to
+    every field.
+    """
+    f, labels = labeling._vertex_labels, labeling._component_labels
+    k = labeling.n_components
+    table = np.empty(f.size, dtype=np.int32)  # only its entries at labels are read
+    table[labels] = np.arange(k, dtype=np.int32)
+    # each new edge's endpoints (u, u | 2^i), as the ids of their components
+    ends = [table.take(f.take(np.stack((u, u | (1 << i))), mode="clip"), mode="clip") for i, u in extra]
+    fk = _later_rounds(k, [_unjoined(lu, lv) for lu, lv in ends])
+    sizes = np.bincount(fk, weights=labeling.component_sizes)
+    roots = sizes.nonzero()[0]  # the ids that label themselves: every component has a vertex
+    table[labels] = labels[fk]  # each component's label to its new one
+    out = _gather(table, f, np.empty_like(f))
+    return _result(out, sizes[roots].astype(np.intp), labels[roots], labeling.open_edges + sum(u.size for _, u in extra))
 
 
 @dataclass(frozen=True)
@@ -600,10 +617,7 @@ def w_set(labeling: ComponentLabeling, threshold: int) -> WSet:
     # a gather by np.take (every label is a vertex, so clip mode moves
     # none), ~2x faster than big[labels]; by _TASK ranges, since np.take
     # copies its whole index to intp (128 MB at d = 24)
-    labels = labeling._vertex_labels
-    members = np.empty(labels.size, dtype=bool)
-    for s in _tasks(labels.size):
-        big.take(labels[s], out=members[s], mode="clip")
+    members = _gather(big, labeling._vertex_labels, np.empty(big.size, dtype=bool))
     return WSet(members=members, density=np.count_nonzero(members) / members.size)
 
 

@@ -27,9 +27,9 @@ from . import theory
 from .components import (
     distance_to_set,
     explore_component,
-    label_bases,
+    extend,
     label_sample,
-    per_direction,
+    label_windows,
     size_gap_count,
     thread_count,
     w_set,
@@ -94,24 +94,34 @@ def _subcritical_trial(args, threads: int = 1) -> dict:
     }
 
 
-def _sprinkled_bases(g, seed, trial, p1, p2, directions) -> list[tuple]:
-    # per direction of the range, the open base endpoints of round 1 and of
-    # the union of both rounds
+def _round1_bases(g, seed, trial, p1, p2, extra, window) -> list:
+    # round 1's open bases over a window of every direction's counters, as
+    # label_windows takes them.  The edges that only round 2 opens go to
+    # extra[1] from the upper half's window and to extra[0] from any other,
+    # so no list is written by two threads, as (direction, bases in vertex
+    # ids): a window from counter s starts at vertex 2s below the top
+    # direction and at vertex s in it
+    added = extra[window.start > 0]
     rounds = zip(
-        directions,
-        sample_directions(g, SampleKey(seed, trial, 1), p1, directions),
-        sample_directions(g, SampleKey(seed, trial, 2), p2, directions),
+        sample_directions(g, SampleKey(seed, trial, 1), p1, window),
+        sample_directions(g, SampleKey(seed, trial, 2), p2, window),
     )
-    # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p
-    return [(direction_bases(open1, i), direction_bases(open1 | open2, i)) for i, open1, open2 in rounds]
+    bases = []
+    for i, (open1, open2) in enumerate(rounds):
+        bases.append(direction_bases(open1, i))
+        added.append((i, direction_bases(open2 & ~open1, i) + (window.start if i == g.d - 1 else 2 * window.start)))
+    bases[-1] += window.start
+    return bases
 
 
 def _sprinkling_trial(args, threads: int = 1) -> dict:
     seed, trial, d, p1, p2, w_threshold = args
     g = CubeGraph(d)
-    bases = per_direction(partial(_sprinkled_bases, g, seed, trial, p1, p2), d, threads)
-    labeling1 = label_bases(g, [b1 for b1, _ in bases], threads)
-    labeling_u = label_bases(g, [bu for _, bu in bases], threads)
+    extra = ([], [])
+    labeling1 = label_windows(g, partial(_round1_bases, g, seed, trial, p1, p2, extra), threads)
+    # independent rounds with (1-p1)(1-p2) = 1-p: the union is a draw at p,
+    # round 1's components joined along the edges only round 2 opened
+    labeling_u = extend(labeling1, extra[0] + extra[1])
     w1 = w_set(labeling1, w_threshold)
     w1_size = int(np.count_nonzero(w1.members))
     w1_components = int(np.count_nonzero(labeling1.component_sizes >= w_threshold))
@@ -415,12 +425,18 @@ class ExperimentConfig:
             problems.append(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         spec = KINDS.get(self.kind)
         if spec is not None:
+            # the d a trial can take, checked before c / d (a float): Q^d up
+            # to MAX_DIMENSION (a larger d is refused below), and gw's draws
+            # Bin(alive * d, p), alive < gw_progeny_cap, in numpy's int64
+            sized = self.d <= MAX_DIMENSION if spec.cube else self.d * self.gw_progeny_cap < 1 << 63
+            if not sized and not spec.cube:
+                problems.append(f"d * gw_progeny_cap must be below 2^63 for kind={self.kind}")
             value = getattr(self, spec.param)
             if value is None:
                 problems.append(f"{spec.param} is required for kind={self.kind}")
             elif not spec.in_domain(value):
                 problems.append(f"{spec.param} must {spec.domain} for kind={self.kind}, got {value}")
-            elif spec.param == "c" and self.d >= 2 and value / self.d > 1.0:
+            elif spec.param == "c" and sized and self.d >= 2 and value / self.d > 1.0:
                 problems.append(f"c = {value} makes p = c/d = {value / self.d:.6g} exceed 1 for kind={self.kind}")
             for other in _KIND_KEYS:
                 if other not in (spec.param, *spec.reads) and getattr(self, other) is not None:

@@ -25,12 +25,12 @@ decides exactly in integers.  For a fixed key the output is splitmix64
 seeded at ``state``, i.e. a bijection of the counter.
 
 Since every bit is a function of its counter alone, any split of the
-counters samples the same draw: ``sample_directions`` over disjoint ranges
-of directions, or disjoint windows of each direction's counters, may run on
-threads side by side.  ``_open_bits`` runs every window in passes of at
-most ``_PASS`` = 32768 counters on one import-time step table, long enough
-per numpy call for two threads to overlap; a ``BitStream`` block of
-``_BLOCK`` = 8192 counters is one pass.
+counters samples the same draw: ``sample_directions`` over disjoint windows
+of each direction's counters may run on threads side by side.
+``_open_bits`` runs every window in passes of at most ``_PASS`` = 32768
+counters on one import-time step table, long enough per numpy call for two
+threads to overlap; a ``BitStream`` block of ``_BLOCK`` = 8192 counters is
+one pass.
 """
 
 from __future__ import annotations
@@ -179,31 +179,28 @@ def sample_edges(g, key: SampleKey, p: float) -> EdgeSample:
     return EdgeSample(d=g.d, p=float(p), open_mask=mask, key=key)
 
 
-def sample_directions(g, key: SampleKey, p: float, directions: range | None = None, window: range | None = None):
+def sample_directions(g, key: SampleKey, p: float, window: range | None = None):
     """The draw of ``sample_edges`` one direction at a time, without the
-    m-length mask: yields, for each i of ``directions`` (consecutive, all d
-    by default), the bool array whose entry k is whether edge
-    i * 2^(d-1) + window[k] is open.  ``window`` is a nonempty range of
-    consecutive offsets in [0, 2^(d-1)), all of them by default; a half of
-    the cube owns one half of every direction's offsets.
+    m-length mask: yields, for each direction i in increasing order, the
+    bool array whose entry k is whether edge i * 2^(d-1) + window[k] is
+    open.  ``window`` is a nonempty range of consecutive offsets in
+    [0, 2^(d-1)), all of them by default; a half of the cube owns one half
+    of every direction's offsets.
 
     Each item is a view into one reused buffer, valid until the next item.
-    The buffer holds one window, or every whole direction asked for when
-    2^(d-1) < _BLOCK: a direction that small costs little more than numpy's
-    fixed overhead per call, so one ``_open_bits`` call samples them all.
-    Calls over disjoint directions or windows share nothing, so threads may
-    sample them side by side.
+    The buffer holds one window, or all d directions when the window is a
+    whole direction and 2^(d-1) < _BLOCK: a direction that small costs
+    little more than numpy's fixed overhead per call, so one
+    ``_open_bits`` call samples them all.  Calls over disjoint windows
+    share nothing, so threads may sample them side by side.
     """
     half = 1 << (g.d - 1)
-    directions = range(g.d) if directions is None else directions
     window = range(half) if window is None else window
-    if not directions:
-        return
     threshold, state = _threshold(p), _stream_state(key)
     size = len(window)
-    step = len(directions) if size == half < _BLOCK else 1  # directions per call
+    step = g.d if size == half < _BLOCK else 1  # directions per call
     buf = np.empty(size * step, dtype=bool)
-    for i in range(directions.start, directions.stop, step):
+    for i in range(0, g.d, step):
         _open_bits(state, i * half + window.start, threshold, buf)
         for lo in range(0, buf.size, size):
             yield buf[lo:lo + size]

@@ -284,6 +284,35 @@ def test_experiment_rejects_zero_progeny_cap(capsys):
     assert "gw_progeny_cap" in err
 
 
+_HUGE_D = "9" * 401  # c / d would overflow a float
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        *[pytest.param(("--kind", kind, "--d", _HUGE_D), 2, "exceeds the supported maximum", id=f"{kind}-huge-d")
+          for kind in ("supercritical", "sprinkling", "hitprob")],
+        pytest.param(("--kind", "gw", "--d", _HUGE_D), 1, "d * gw_progeny_cap", id="gw-huge-d"),
+        pytest.param(("--kind", "gw", "--d", str(2**62)), 1, "d * gw_progeny_cap", id="gw-d-2^62"),
+        pytest.param(("--kind", "gw", "--d", "20", "--gw-progeny-cap", str(2**63 - 1)), 1, "d * gw_progeny_cap",
+                     id="gw-cap-2^63-1"),
+        pytest.param(("--kind", "gw", "--d", "2", "--gw-progeny-cap", str(2**62)), 1, "d * gw_progeny_cap",
+                     id="gw-at-the-bound"),
+        pytest.param(("--kind", "gw", "--d", "2", "--gw-progeny-cap", str(2**62 - 1)), 0, '"survived_count": 1',
+                     id="gw-below-the-bound"),
+    ],
+)
+def test_experiment_bounds_d_before_dividing_by_it(capsys, argv, code, message):
+    # a cube kind refuses d > MAX_DIMENSION as capacity before c / d; gw
+    # refuses d * gw_progeny_cap >= 2^63, which would overflow the int64
+    # trial count alive * d of its binomial draw (at p = 1 the last draw
+    # of the run just below the bound takes 2^61 * 2 trials)
+    got, out, err = _run(capsys, "experiment", *argv, "--c", "2", "--trials", "1")
+    assert got == code
+    assert message in (out if code == 0 else err)
+    assert "internal error" not in err
+
+
 _OPTIONAL = {"w_threshold": "4", "gap_lo": "5", "gap_hi": "9"}
 # the optional keys that each kind does not read
 _UNREAD = {

@@ -1,6 +1,7 @@
 import sys
 import threading
 from collections import Counter, deque
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -15,14 +16,15 @@ from cubeperc.components import (
     _tasks,
     distance_to_set,
     explore_component,
-    label_bases,
+    extend,
     label_components,
     label_sample,
+    label_windows,
     size_gap_count,
     w_set,
     write_histogram_csv,
 )
-from cubeperc.experiments import ExperimentConfig, _sprinkling_trial, run_experiment
+from cubeperc.experiments import ExperimentConfig, _round1_bases, _sprinkling_trial, run_experiment
 from cubeperc.hypercube import CubeGraph, EdgeRef, direction_bases, edge_endpoint_arrays, edge_index, export_adjacency
 from cubeperc.sampler import BitStream, EdgeKeyedBitSource, SampleKey, sample_edges
 
@@ -206,6 +208,22 @@ def test_label_sample_matches_adapter_per_direction(d):
         )
 
 
+def _label_bases(g, bases, threads=1):
+    # the labeling of the given bases of every direction (``direction_bases``),
+    # on one thread or, for any threads >= 2, on the halves: each
+    # direction's sorted bases sliced at the halves' boundary, in each
+    # half's own ids, and the top direction's with the lower half
+    if threads == 1 or g.d == 1:
+        return components._label_whole(g, bases)
+    h = g.n >> 1
+    cuts = [int(np.searchsorted(u, h)) for u in bases[:-1]]  # where each direction's upper bases start
+    return components._label_halves(
+        g,
+        lambda: [u[:j] for u, j in zip(bases, cuts)] + [bases[-1]],
+        lambda: [u[j:] - h for u, j in zip(bases, cuts)] + [bases[-1][:0]],
+    )
+
+
 def _all_fields(lab):
     # every ComponentLabeling field, the per-vertex forms included
     return (
@@ -235,13 +253,13 @@ def test_label_bases_equal_across_thread_counts(d, seed, p):
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(seed), p).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))]
-    serial = _all_fields(label_bases(g, bases))
+    serial = _all_fields(_label_bases(g, bases))
     assert serial[7] == _closure_components(g, mask).tolist()
     for threads in (2, 3, 5):
-        assert _all_fields(label_bases(g, bases, threads)) == serial
+        assert _all_fields(_label_bases(g, bases, threads)) == serial
     with mock.patch.object(components, "_TASK", 7):
         for threads in (1, 2, 3, 5):
-            assert _all_fields(label_bases(g, bases, threads)) == serial
+            assert _all_fields(_label_bases(g, bases, threads)) == serial
 
 
 def _bfs_labels(g, mask):
@@ -286,7 +304,7 @@ def test_label_bases_on_both_sides_of_one_task_range(d, p, threads):
     g = CubeGraph(d)
     mask = sample_edges(g, SampleKey(2**33 + d, 7), p).open_mask
     with mock.patch.object(components, "_TASK", 1 << 11):
-        lab = label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
+        lab = _label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(d, -1))], threads)
     _assert_matches_bfs(g, mask, lab)
 
 
@@ -306,7 +324,7 @@ def test_label_bases_on_both_sides_of_direct(monkeypatch, d, p, threads):
     for direct in (1, 1 << 30):
         calls.clear()
         with mock.patch.object(components, "_DIRECT", direct):
-            lab = label_bases(g, bases, threads)
+            lab = _label_bases(g, bases, threads)
         assert bool(calls) == (direct == 1)
         _assert_matches_bfs(g, mask, lab)
 
@@ -357,7 +375,7 @@ def test_first_relabel_per_direction(monkeypatch, d, p, closed, whole, halves, t
         rows[closed] = False
     bases = [direction_bases(row, i) for i, row in enumerate(rows)]
     kept = [u.copy() for u in bases]
-    lab = label_bases(g, bases, threads)
+    lab = _label_bases(g, bases, threads)
     if threads == 1:
         assert calls == (Counter(range(d)) if whole else Counter())
     else:
@@ -444,9 +462,9 @@ def test_a_labeling_forks_twice_on_two_threads_and_never_on_one(monkeypatch):
     key = SampleKey(2**36, 1)
     mask = sample_edges(g, key, 2 / 19).open_mask
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))]
-    whole = _all_fields(label_bases(g, bases))
+    whole = _all_fields(_label_bases(g, bases))
     assert not forks
-    assert _all_fields(label_bases(g, bases, 2)) == whole
+    assert _all_fields(_label_bases(g, bases, 2)) == whole
     assert _all_fields(label_sample(g, key, 2 / 19, 2)) == whole
     assert forks == [threading.current_thread()] * 4
 
@@ -552,7 +570,7 @@ def test_label_bases_contracted_rounds_match_bfs(monkeypatch, d, p, trial, whole
         # with _TASK at 2^9 every pass of a cube from d = 10 on runs over
         # several ranges, as a large cube's do
         with mock.patch.object(components, "_TASK", task or components._TASK):
-            lab = label_bases(g, bases, threads)
+            lab = _label_bases(g, bases, threads)
         assert lab.labels.tolist() == oracle
         assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
         assert (lab.l1, lab.l2, lab.n_components, lab.open_edges) == (ranked[0], ranked[1], len(sizes), mask.sum())
@@ -567,16 +585,16 @@ def _assert_halves_match(g, mask):
     # the labeling on two threads (the halves) against one thread and the
     # BFS oracle, to every field; returns the oracle's labels
     bases = [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))]
-    whole = _all_fields(label_bases(g, bases))
+    whole = _all_fields(_label_bases(g, bases))
     oracle = _bfs_labels(g, mask)
     assert whole[7] == oracle
-    assert _all_fields(label_bases(g, bases, 2)) == whole
+    assert _all_fields(_label_bases(g, bases, 2)) == whole
     return oracle
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 12, 16])
 def test_halves_match_one_thread_and_bfs(d):
-    # label_sample samples each half's window on its own thread, label_bases
+    # label_sample samples each half's window on its own thread, _label_bases
     # slices the given bases; both join the halves along the top direction
     g = CubeGraph(d)
     for trial, p in enumerate(sorted({0.0, 1 / d, min(1.0, 2 / d), 0.5, 1.0})):
@@ -656,9 +674,57 @@ def test_label_sample_footprint_d16():
 
 
 def test_sprinkling_rows_equal_across_thread_counts():
-    d = 17
-    args = (3, 1, d, 1.5 / d, d ** -2.0, d * d)
-    assert _sprinkling_trial(args, threads=2) == _sprinkling_trial(args)
+    # at d = 18 each half samples two passes of every direction's counters
+    for d in (17, 18):
+        args = (3, 1, d, 1.5 / d, d ** -2.0, d * d)
+        assert _sprinkling_trial(args, threads=2) == _sprinkling_trial(args)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 14])
+def test_sprinkling_union_extends_round_one(d, threads):
+    # each window keeps round 1's bases and collects the edges that only
+    # round 2 opens, in vertex ids (the upper half's top-direction edges
+    # offset by its window): round 1 is the labeling of its own draw, and
+    # its extension is the labeling of both rounds' union, to every field
+    g = CubeGraph(d)
+    p1, p2 = 1.5 / d, d ** -1.0
+    extra = ([], [])
+    lab1 = label_windows(g, partial(_round1_bases, g, 11, 3, p1, p2, extra), threads)
+    mask1 = sample_edges(g, SampleKey(11, 3, 1), p1).open_mask
+    mask2 = sample_edges(g, SampleKey(11, 3, 2), p2).open_mask
+    assert bool(extra[1]) == (threads > 1)
+    assert sum(u.size for _, u in extra[0] + extra[1]) == np.count_nonzero(mask2 & ~mask1)
+    assert _all_fields(lab1) == _all_fields(label_components(g, mask1))
+    assert _all_fields(extend(lab1, extra[0] + extra[1])) == _all_fields(label_components(g, mask1 | mask2))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_extend_matches_labeling_the_union(d):
+    # round 1's labeling extended along the edges only round 2 opens is the
+    # labeling of the union, to every field: with no edge added, at p2 = 0,
+    # 1/n, 0.3 and 1, and along every closed edge inside a round-1
+    # component, which joins nothing
+    g = CubeGraph(d)
+    mask1 = sample_edges(g, SampleKey(2**42 + d, 1, 1), min(0.6, 1.2 / d)).open_mask
+    lab1 = label_components(g, mask1)
+    assert _all_fields(extend(lab1, [])) == _all_fields(lab1)
+    for trial, p2 in enumerate((0.0, 1 / g.n, 0.3, 1.0)):
+        mask2 = sample_edges(g, SampleKey(2**42 + d, trial, 2), p2).open_mask
+        added = (mask2 & ~mask1).reshape(d, -1)
+        extra = [(i, direction_bases(row, i)) for i, row in enumerate(added)]
+        assert _all_fields(extend(lab1, extra)) == _all_fields(label_components(g, mask1 | mask2))
+    rows = mask1.reshape(d, -1).copy()
+    inside = []
+    for i, row in enumerate(rows):
+        u = direction_bases(np.ones(row.size, dtype=bool), i)  # every base of direction i, by counter
+        same = ~row & (lab1.labels[u] == lab1.labels[u | (1 << i)])
+        inside.append((i, u[same]))
+        row |= same
+    assert d < 4 or sum(u.size for _, u in inside)
+    extended = extend(lab1, inside)
+    assert _all_fields(extended) == _all_fields(label_components(g, rows.ravel()))
+    assert extended.labels.tolist() == lab1.labels.tolist()
 
 
 def test_label_gray_code_hamiltonian_path():
