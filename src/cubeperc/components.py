@@ -15,11 +15,11 @@ splits the cube, not the passes: Q^d is two copies of Q^(d-1) joined by
 the perfect matching of its top direction.  Each half samples its own
 window of every direction's counters and is labeled in its own vertex ids
 on a thread of its own; the calling thread joins the halves along the top
-direction; each half maps back to vertex labels on its own thread.  numpy
+direction; each half maps back to vertex labels and counts its components
+on its own thread, and the calling thread merges the two counts.  numpy
 releases the interpreter lock inside its kernels.  The counters are keyed
 and the labels canonical, so no bit and no label depends on the split.
-The join's rounds, the final sort and the statistics run on the calling
-thread.
+The join's rounds, the merge and the statistics run on the calling thread.
 
 Only the first hook and jump of a labeling run on n-length label arrays
 (of each half's length, on two threads).  The labeling then contracts onto
@@ -147,12 +147,46 @@ def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
 
 
 def _jump(f: np.ndarray, spare: np.ndarray) -> None:
-    # f jumped in place to its fixed point f = f[f], each pass by ranges
-    # into the other array.  The pass that moves no label leaves the two
-    # arrays equal, so f holds the fixed point whichever of them it wrote
+    # f jumped in place to its fixed point f = f[f].  Full passes by ranges
+    # alternate between the two arrays until one moves at most 1/8 of the
+    # labels; the passes after it visit only the labels it moved
+    # (``_jump_tail``).  A pass that moves no label leaves the two arrays
+    # equal, so f holds the fixed point whichever of them it wrote
     src, dst = f, spare
-    while sum(_jump_range(src, dst, s) for s in _tasks(f.size)):
+    while (moved := sum(_jump_range(src, dst, s) for s in _tasks(f.size))) > f.size >> 3:
         src, dst = dst, src
+    if moved:
+        _jump_tail(f, dst, src, moved)
+
+
+def _jump_tail(f: np.ndarray, last: np.ndarray, before: np.ndarray, moved: int) -> None:
+    # f jumped to its fixed point after a full pass read ``before``, wrote
+    # ``last`` (one of the two is f) and moved ``moved`` labels.  A label x
+    # that the pass left alone has before[before[x]] = before[x], a root,
+    # which no pass moves, so x never moves again: the later passes visit
+    # the moved labels alone, as int32 ids, by ranges of them, and each
+    # drops those it leaves alone.  The first reads ``last`` and writes f,
+    # which equals ``last`` off the moved labels.  A range that reads f
+    # after an earlier range wrote it reads labels jumped further, which
+    # are still ancestors, so the fixed point is the same
+    at = np.empty(moved, dtype=np.int32)
+    j = 0
+    for s in _tasks(f.size):
+        x = np.flatnonzero(last[s] != before[s])
+        x += s.start
+        at[j:j + x.size] = x
+        j += x.size
+    src = last
+    while at.size:
+        kept = []
+        for s in _tasks(at.size):
+            x = at[s]
+            old = src.take(x, mode="clip")
+            new = src.take(old, mode="clip")
+            f.put(x, new, mode="clip")
+            kept.append(x.compress(new != old))
+        at = _concatenated(kept)
+        src = f
 
 
 def _unjoined(lu: np.ndarray, lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,17 +272,19 @@ def _compact(f: np.ndarray, rank: np.ndarray) -> tuple[int, list]:
     return k, [(s, np.packbits(rank[s] >= 0)) for s in _tasks(f.size)]
 
 
-def _roots(bits: list, out: np.ndarray) -> None:
-    # the roots that ``_compact`` packed, as vertices in increasing order,
-    # into ``out``: root id j's vertex at out[j]
+def _roots(bits: list, k: int, offset: int = 0) -> np.ndarray:
+    # the k roots that ``_compact`` packed, as vertices in increasing order
+    # plus ``offset``: root id j's vertex at [j]
+    out = np.empty(k, dtype=np.int32)
     j = 0
     for s, packed in bits:
         # nonzero on bool, ~8x faster than on unpackbits' uint8
         at = np.unpackbits(packed, count=s.stop - s.start).view(bool).nonzero()[0]
-        if s.start:
-            at += s.start
+        if s.start + offset:
+            at += s.start + offset
         out[j:j + at.size] = at
         j += at.size
+    return out
 
 
 # Below this many open edges per direction on average, the first relabel
@@ -292,11 +328,15 @@ def _later_rounds(k: int, parts: list, fk: np.ndarray | None = None) -> np.ndarr
 
 def _result(f: np.ndarray, sizes: np.ndarray, labels: np.ndarray, open_edges: int) -> ComponentLabeling:
     # the labeling of the vertex labels f, given its component sizes and
-    # labels by ascending label: l1 and l2 are the two largest sizes
-    top = np.partition(sizes, -2)[-2:] if sizes.size >= 2 else (0, sizes[0])
+    # labels by ascending label: l1 is the largest size, at the first index
+    # that holds it, and l2 the largest of the others (l1 again on a tie, 0
+    # for one component).  Two reductions: np.partition, which copies and
+    # selects, took 6.0 ms against 0.065 ms on the 156,599 mostly equal
+    # sizes of a d = 20, c = 2 draw
+    top = int(sizes.argmax())
     return ComponentLabeling(
-        l1=int(top[1]),
-        l2=int(top[0]),
+        l1=int(sizes[top]),
+        l2=int(max(sizes[:top].max(initial=0), sizes[top + 1:].max(initial=0))),
         component_sizes=sizes,
         n_components=int(sizes.size),
         open_edges=open_edges,
@@ -305,17 +345,19 @@ def _result(f: np.ndarray, sizes: np.ndarray, labels: np.ndarray, open_edges: in
     )
 
 
-def _counted(f: np.ndarray, open_edges: int) -> ComponentLabeling:
-    # the labeling of the vertex labels f: on the giant-dominated labels of
-    # a supercritical draw the sort beats bincount, and it needs no intp
-    # copy of f or n-length int64 counts
-    ordered = f.copy()
+def _count(f: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the sizes and the labels of the components in the vertex labels f, by
+    # ascending label; ``ordered`` is scratch of f's length, f sorted.  On
+    # the giant-dominated labels of a supercritical draw the sort beats
+    # bincount, and it needs no intp copy of f or n-length int64 counts
+    np.copyto(ordered, f)
     ordered.sort()
     first = np.empty(f.size + 1, dtype=bool)  # a label starts at k; k = n closes the last
     first[0] = first[f.size] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
     starts = first.nonzero()[0]
-    return _result(f, starts[1:] - starts[:-1], ordered[starts[:-1]], open_edges)
+    del first
+    return starts[1:] - starts[:-1], ordered[starts[:-1]]
 
 
 def _label_whole(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
@@ -325,27 +367,30 @@ def _label_whole(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
     k, bits, parts = _first_phase(f, [np.empty_like(f)], bases)
     del bases  # the only reference when the caller passes a fresh list
     fk = _later_rounds(k, parts)
-    roots = np.empty(k, dtype=np.int32)
-    _roots(bits, roots)
+    roots = _roots(bits, k)
     del bits
     _gather(roots, fk)  # each root id's label, as a vertex
     del roots
     _gather(fk, f)
     del fk
-    return _counted(f, open_edges)
+    return _result(f, *_count(f, np.empty_like(f)), open_edges)
 
 
-def _half(f: np.ndarray, scratch: list, bases_of: Callable[[], list]) -> tuple:
-    # one half labeled in its own ids: the first phase and the later rounds
-    # over its bases ``bases_of()``, one array per direction, the top
-    # direction's last (as the lower half's vertices, left for the join).
-    # Returns (top bases, open edges, k, bits, the labels of the root ids)
+def _half(f: np.ndarray, scratch: list, bases_of: Callable[[], list], offset: int) -> tuple:
+    # one half labeled in its own ids, f from its own identity: the first
+    # phase and the later rounds over its bases ``bases_of()``, one array
+    # per direction, the top direction's last (as the lower half's
+    # vertices, left for the join).  Returns (top bases, open edges, the
+    # labels of the root ids, the roots as vertices of the cube: its own
+    # ids plus ``offset``)
+    f[:] = np.arange(f.size, dtype=f.dtype)
     bases = bases_of()
     top = bases.pop()
     opened = top.size + sum(u.size for u in bases)
     k, bits, parts = _first_phase(f, scratch, bases)
     del bases
-    return top, opened, k, bits, _later_rounds(k, parts)
+    fk = _later_rounds(k, parts)
+    return top, opened, fk, _roots(bits, k, offset)
 
 
 def _top_pairs(fa: np.ndarray, fb: np.ndarray, fk: np.ndarray, ka: int, tops: tuple) -> list:
@@ -359,33 +404,51 @@ def _top_pairs(fa: np.ndarray, fb: np.ndarray, fk: np.ndarray, ka: int, tops: tu
     ]
 
 
+def _counted_half(fk: np.ndarray, f: np.ndarray, ordered: np.ndarray) -> tuple:
+    # one half mapped back and counted on its own thread: f, the half's
+    # labels, from its root ids to vertex labels through fk, its part of
+    # the joined labels; returns its components' sizes and labels
+    # (``_count``)
+    _gather(fk, f)
+    return _count(f, ordered)
+
+
+def _merged(h: int, lower: tuple, upper: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # the sizes and labels of the cube's components from each half's.  A
+    # label is its component's minimum, so an upper label below h is a
+    # lower vertex's label, in the lower list: its count is added there.
+    # The other upper labels are upper components', above every lower one
+    (sizes_a, labels_a), (sizes_b, labels_b) = lower, upper
+    j = int(np.searchsorted(labels_b, h))
+    sizes_a[np.searchsorted(labels_a, labels_b[:j])] += sizes_b[:j]
+    return np.concatenate((sizes_a, sizes_b[j:])), np.concatenate((labels_a, labels_b[j:]))
+
+
 def _label_halves(g: CubeGraph, lower: Callable[[], list], upper: Callable[[], list]) -> ComponentLabeling:
     # the labeling with each half on a thread of its own (see label_sample).
     # f and every half-length scratch array are allocated on this thread
     h = g.n >> 1
-    f = np.arange(g.n, dtype=np.int32)
-    f[h:] -= h  # each half starts from its own identity
+    f = np.empty(g.n, dtype=np.int32)
     fa, fb = f[:h], f[h:]
-    (top_a, open_a, ka, bits_a, fk_a), (top_b, open_b, kb, bits_b, fk_b) = _side_by_side(
-        partial(_half, fa, [np.empty(h, dtype=np.int32)], lower),
-        partial(_half, fb, [np.empty(h, dtype=np.int32)], upper),
+    (top_a, open_a, fk_a, roots_a), (top_b, open_b, fk_b, roots_b) = _side_by_side(
+        partial(_half, fa, [np.empty(h, dtype=np.int32)], lower, 0),
+        partial(_half, fb, [np.empty(h, dtype=np.int32)], upper, h),
     )
+    ka, kb = fk_a.size, fk_b.size
     fk = np.empty(ka + kb, dtype=np.int32)  # the upper half's ids follow the lower half's ka
     fk[:ka] = fk_a
     np.add(fk_b, ka, out=fk[ka:])
     del fk_a, fk_b
     fk = _later_rounds(ka + kb, _top_pairs(fa, fb, fk, ka, (top_a, top_b)), fk)
     del top_a, top_b
-    roots = np.empty(ka + kb, dtype=np.int32)
-    _roots(bits_a, roots[:ka])
-    _roots(bits_b, roots[ka:])
-    roots[ka:] += h
-    del bits_a, bits_b
+    roots = np.concatenate((roots_a, roots_b))
+    del roots_a, roots_b
     _gather(roots, fk)  # each root id's label, as a vertex
     del roots
-    _side_by_side(partial(_gather, fk, fa), partial(_gather, fk[ka:], fb))
-    del fk, fa, fb
-    return _counted(f, open_a + open_b)
+    ordered = np.empty_like(f)
+    counts = _side_by_side(partial(_counted_half, fk[:ka], fa, ordered[:h]), partial(_counted_half, fk[ka:], fb, ordered[h:]))
+    del fk, ordered
+    return _result(f, *_merged(h, *counts), open_a + open_b)
 
 
 def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
@@ -458,6 +521,15 @@ def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> Co
     ~36 % of the vertices as roots.  When no pair is left, f is mapped
     through its root ids and fk to vertex labels, in place.
 
+    Every pointer jump ends sparse (Ligra's active set, Shun & Blelloch
+    2013): only a label that moved in a pass can move in the next, so once
+    a full pass moves at most 1/8 of the labels, the passes after it visit
+    the labels it moved alone.  The first jump of a d = 20, c = 2 draw
+    moves ~39 %, 23 % and 7 % of the labels in full passes, then the rest
+    sparsely, where two more full passes moved 0.3 % and none; the last
+    later round's one full pass over the ~4 * 10^5 root ids moves a few
+    hundred of them.
+
     With ``threads`` >= 2 (any such count; d >= 2) the two halves of the
     cube are labeled side by side (``label_windows``).  Q^d is two copies
     of Q^(d-1), the vertices below 2^(d-1) and those above, joined by the
@@ -465,18 +537,24 @@ def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> Co
     window of every direction's counters (the counters are keyed, so the
     split moves no bit) and runs the labeling above, first phase and later
     rounds, in its own vertex ids, the lower half on the calling thread and
-    the upper on a second one.  The calling thread then joins them: the
+    the upper on a second one; each also writes its own identity first and
+    unpacks its own roots last.  The calling thread then joins them: the
     upper half's root ids follow the lower half's k_A, each half's labels
     of its root ids start the joined labels fk, and each open top edge
     (u, u + 2^(d-1)) adds the pair (fk[f_A[u]], fk[k_A + f_B[u]]).  The
     later rounds run unchanged on the k_A + k_B root ids along these pairs,
-    and each half maps back to vertex labels on its own thread.  So one
-    labeling forks twice, and the later rounds of each half, which at
-    d = 24 took a third of a two-thread labeling when they ran after the
-    join, run side by side as well.  The two threads share no array they
-    write: each writes its own half of f and of the scratch, which the
-    calling thread allocates, so that the largest arrays do not live in the
-    second thread's malloc arena.
+    and fk is mapped to vertices.  Each half then maps back to vertex
+    labels, sorts them and counts its components on its own thread, and
+    the calling thread merges the two lists: an upper label below 2^(d-1)
+    names a component whose minimum is a lower vertex, so it is in the
+    lower list, and its count is added there; the other upper labels
+    follow the lower ones.  So one labeling forks twice, and the later
+    rounds of each half, which at d = 24 took a third of a two-thread
+    labeling when they ran after the join, run side by side as well.  The
+    two threads share no array they write: each writes its own half of f,
+    of the scratch and of the sort's copy, which the calling thread
+    allocates, so that the largest arrays do not live in the second
+    thread's malloc arena.
 
     Memory decides where each array lives.  The scratch array (the first
     jump's spare, then the numbering's ranks) is the one extra n-length
@@ -497,7 +575,8 @@ def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> Co
     the id of its minimum root.  When the loop ends every open edge joins
     equal labels, so each component has exactly one root id, and it maps
     back to the component's minimum vertex.  The component sizes are
-    counted from the sorted labels, on the calling thread.
+    counted from the sorted labels; on two threads each half sorts and
+    counts its own.
 
     Every pass (the jumps, the relabels, the gathers) runs over ranges of
     at most ``_TASK`` entries, so that np.take's intp copy of an index
@@ -519,8 +598,8 @@ def extend(labeling: ComponentLabeling, extra: list) -> ComponentLabeling:
     labels and the table, the pairs still unjoined run through the later
     rounds of ``label_sample`` over the ids, and every id ends labeled by
     the smallest id joined to it, which is the id of the smallest label.
-    The sizes are the joined components' sums (np.bincount weighted by the
-    old sizes), and the table, rewritten to each component's new label,
+    The sizes are the joined components' sums (np.add.at of the old sizes
+    over the ids), and the table, rewritten to each component's new label,
     maps every vertex in one ranged gather.  No sort and no n-length jump
     runs; the result equals the labeling of both edge sets at once, to
     every field.
@@ -532,11 +611,12 @@ def extend(labeling: ComponentLabeling, extra: list) -> ComponentLabeling:
     # each new edge's endpoints (u, u | 2^i), as the ids of their components
     ends = [table.take(f.take(np.stack((u, u | (1 << i))), mode="clip"), mode="clip") for i, u in extra]
     fk = _later_rounds(k, [_unjoined(lu, lv) for lu, lv in ends])
-    sizes = np.bincount(fk, weights=labeling.component_sizes)
-    roots = sizes.nonzero()[0]  # the ids that label themselves: every component has a vertex
+    sizes = np.zeros(k, dtype=np.intp)
+    np.add.at(sizes, fk, labeling.component_sizes)
+    roots = (fk == np.arange(k, dtype=fk.dtype)).nonzero()[0]  # the ids that label themselves
     table[labels] = labels[fk]  # each component's label to its new one
     out = _gather(table, f, np.empty_like(f))
-    return _result(out, sizes[roots].astype(np.intp), labels[roots], labeling.open_edges + sum(u.size for _, u in extra))
+    return _result(out, sizes[roots], labels[roots], labeling.open_edges + sum(u.size for _, u in extra))
 
 
 @dataclass(frozen=True)

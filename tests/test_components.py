@@ -497,6 +497,107 @@ def test_jump_ranges_partition_the_vertices(monkeypatch):
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
+def _fixed_point(f):
+    # the reference pointer jump: full passes f -> f[f] until none moves a
+    # label; returns the fixed point and the number of passes
+    f, passes = f.copy(), 0
+    while True:
+        passes += 1
+        nxt = f[f]
+        if np.array_equal(nxt, f):
+            return f, passes
+        f = nxt
+
+
+def _forests(n):
+    # forests over 0..n-1 with f[x] <= x, as a hook leaves them: shallow
+    # (random recursive trees) and deep (each vertex a few below its
+    # parent), whose full passes stop at odd and even counts
+    rng = np.random.default_rng(n)
+    x = np.arange(n)
+    yield (rng.random(n) * (x + 1)).astype(np.int32)
+    for w in (3, 9, 40):
+        yield np.maximum(0, x - rng.integers(1, w, n)).astype(np.int32)
+    f = (rng.random(n) * (x + 1)).astype(np.int32)
+    roots = rng.random(n) < 0.5
+    f[roots] = x[roots]
+    yield f
+
+
+@pytest.mark.parametrize("task", [1 << 5, 1 << 9, _TASK])
+def test_jump_tail_reaches_the_fixed_point(monkeypatch, task):
+    # the sparse tail after the last full pass, whichever array that pass
+    # wrote, over the moved labels by ranges of several sizes: f ends at
+    # the reference fixed point
+    wrote = Counter()
+    real = components._jump_tail
+
+    def tail(f, last, before, moved):
+        wrote[last is f] += 1
+        return real(f, last, before, moved)
+
+    monkeypatch.setattr(components, "_jump_tail", tail)
+    monkeypatch.setattr(components, "_TASK", task)
+    for n in (1, 7, 100, 4096, 20000):
+        for f0 in _forests(n):
+            f = f0.copy()
+            components._jump(f, np.empty_like(f))
+            assert f.tolist() == _fixed_point(f0)[0].tolist()
+    assert wrote[True] and wrote[False]  # the last full pass wrote f, and the spare
+
+
+@pytest.mark.parametrize("d", [10, 12])
+@pytest.mark.parametrize("task", [1 << 5, 1 << 9, _TASK])
+def test_gray_code_path_through_the_jump_tail(monkeypatch, d, task):
+    # the Gray-code Hamiltonian path hooks into deep trees, whose jumps end
+    # in long sparse tails: one component labeled 0, on one thread and two
+    tails = []
+    real = components._jump_tail
+
+    def tail(f, last, before, moved):
+        tails.append(moved)
+        return real(f, last, before, moved)
+
+    monkeypatch.setattr(components, "_jump_tail", tail)
+    monkeypatch.setattr(components, "_TASK", task)
+    g = CubeGraph(d)
+    bases = [direction_bases(row, i) for i, row in enumerate(_gray_mask(g).reshape(d, -1))]
+    for threads in (1, 2):
+        lab = _label_bases(g, bases, threads)
+        assert (lab.l1, lab.l2, lab.n_components) == (g.n, 0, 1) and not lab.labels.any()
+    assert tails
+
+
+def test_jump_tail_saves_full_passes_at_d20(monkeypatch):
+    # every jump of a d = 20 labeling reaches the reference fixed point in
+    # no more full passes (_jump_range calls per range) than the reference
+    # takes, and the labeling in fewer: the first jump alone drops two
+    calls = []
+    real_jump, real_range = components._jump, components._jump_range
+
+    def jump(f, spare):
+        calls.append([f.copy(), 0])
+        real_jump(f, spare)
+        calls[-1][0] = (calls[-1][0], f.copy())
+
+    def jump_range(f, out, s):
+        calls[-1][1] += 1
+        return real_range(f, out, s)
+
+    monkeypatch.setattr(components, "_jump", jump)
+    monkeypatch.setattr(components, "_jump_range", jump_range)
+    g = CubeGraph(20)
+    label_sample(g, SampleKey(3), 2 / 20)
+    full, reference = [], []
+    for (f0, f), ranges in calls:
+        fixed, passes = _fixed_point(f0)
+        assert np.array_equal(f, fixed)
+        full.append(ranges // len(_tasks(f0.size)))
+        reference.append(passes)
+    assert all(a <= b for a, b in zip(full, reference))
+    assert full[0] <= reference[0] - 2 and sum(full) < sum(reference)
+
+
 def _gray_mask(g):
     # the reflected Gray code's Hamiltonian path through Q^d: one component
     # spanned by one long path, which takes many hooking rounds
@@ -652,6 +753,57 @@ def test_sprinkling_rows_on_halves(d):
         assert _sprinkling_trial(args, threads=2) == _sprinkling_trial(args)
 
 
+def test_halves_count_a_component_mostly_in_the_upper_half():
+    # Q^5, lower half 0..15: the component of the lower vertex 3 holds one
+    # lower vertex and seven upper ones, so the upper half counts seven under
+    # the label 3, which only the lower half lists; {25, 27, 31} lies in
+    # the upper half alone, so its label follows every lower one
+    g = CubeGraph(5)
+    edges = [(3, 19), (19, 17), (17, 16), (16, 18), (18, 22), (22, 20), (17, 21), (25, 27), (27, 31), (0, 1)]
+    mask = _mask_of(g, edges)
+    oracle = _assert_halves_match(g, mask)
+    lab = _label_bases(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))], 2)
+    assert [oracle[:16].count(3), oracle[16:].count(3), oracle[16:].count(25)] == [1, 7, 3]
+    sizes = Counter(oracle)
+    assert lab._component_labels.tolist() == sorted(sizes)
+    assert lab.component_sizes.tolist() == [sizes[x] for x in sorted(sizes)]
+    assert lab.component_sizes.dtype == np.intp and (lab.l1, lab.l2) == (8, 3)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, merged",
+    [
+        # p = 0 on Q^3: every vertex alone
+        (([1] * 4, [0, 1, 2, 3]), ([1] * 4, [4, 5, 6, 7]), ([1] * 8, list(range(8)))),
+        # p = 1: one component, counted by both halves under label 0
+        (([4], [0]), ([4], [0]), ([8], [0])),
+        # upper counts under lower labels, one upper-only component
+        (([2, 1, 1], [0, 1, 3]), ([1, 2, 1], [0, 3, 6]), ([3, 1, 3, 1], [0, 1, 3, 6])),
+    ],
+)
+def test_halves_counts_merge(lower, upper, merged):
+    # the merge of each half's sizes and labels into the cube's (h = 4)
+    def lists(sizes, labels):
+        return np.array(sizes, dtype=np.intp), np.array(labels, dtype=np.int32)
+
+    sizes, labels = components._merged(4, lists(*lower), lists(*upper))
+    assert (sizes.tolist(), labels.tolist()) == merged
+    assert (sizes.dtype, labels.dtype) == (np.intp, np.int32)
+
+
+@pytest.mark.parametrize(
+    "sizes, top",
+    [([7], (7, 0)), ([3, 5, 5, 1], (5, 5)), ([1, 2, 9], (9, 2)), ([9, 2, 9], (9, 9)), ([2, 1, 1], (2, 1)), ([1, 1], (1, 1))],
+)
+def test_result_takes_the_two_largest_sizes(sizes, top):
+    # l1 and l2: a tie for the largest gives l2 = l1, one component l2 = 0,
+    # and the largest may come first or last
+    sizes = np.array(sizes, dtype=np.intp)
+    lab = components._result(np.zeros(2, dtype=np.int32), sizes, np.arange(sizes.size, dtype=np.int32), 0)
+    assert (lab.l1, lab.l2) == top
+    assert (lab.l1, lab.l2) == tuple((sorted(sizes.tolist(), reverse=True) + [0])[:2])
+
+
 def test_label_sample_footprint_d16():
     # the traced peak of a one-thread d = 16 labeling: the contraction adds
     # no n-length array beside those of the first jump (f, the spare, the
@@ -713,7 +865,9 @@ def test_extend_matches_labeling_the_union(d):
         mask2 = sample_edges(g, SampleKey(2**42 + d, trial, 2), p2).open_mask
         added = (mask2 & ~mask1).reshape(d, -1)
         extra = [(i, direction_bases(row, i)) for i, row in enumerate(added)]
-        assert _all_fields(extend(lab1, extra)) == _all_fields(label_components(g, mask1 | mask2))
+        extended, union = extend(lab1, extra), label_components(g, mask1 | mask2)
+        assert _all_fields(extended) == _all_fields(union)
+        assert extended.component_sizes.dtype == union.component_sizes.dtype == np.intp
     rows = mask1.reshape(d, -1).copy()
     inside = []
     for i, row in enumerate(rows):

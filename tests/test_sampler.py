@@ -112,9 +112,9 @@ def test_kernel_matches_oracle_at_ties(d, key, data):
         _assert_kernel_matches_oracle(g, key, p)
 
 
-# m = 1.375 and 6.5 blocks (1.625 passes): the last block is partial; m =
-# 3.5 and 16 passes: a partial last pass, and whole passes only.  Every pass
-# boundary is a block boundary.
+# m = 1.375 and 6.5 blocks (0.8125 passes): the last block is partial;
+# m = 1.75 and 8 passes: a partial last pass, and whole passes only.  Every
+# pass boundary is a block boundary.
 @pytest.mark.parametrize("d", [11, 13, 14, 16])
 def test_sample_edges_block_boundaries(d):
     g = CubeGraph(d)
@@ -136,12 +136,16 @@ def _raw_tie_key(e):
     raise AssertionError("no raw tie found")
 
 
-@pytest.mark.parametrize("e", [_PASS - 1, _PASS, _PASS + 1, 3 * _PASS])
+# the smallest cube whose m spans more than 3 passes and ends in a partial one
+_TIE_D = next(d for d in range(1, 31) if (d << (d - 1)) > 3 * _PASS and (d << (d - 1)) % _PASS)
+
+
+@pytest.mark.parametrize("e", [_PASS - 1, _PASS, _PASS + 1, 3 * _PASS], ids=["pass-1", "pass", "pass+1", "3pass"])
 def test_raw_tie_at_a_pass_boundary(e):
     # the raw-bits tie on either side of a pass boundary, through
     # sample_edges and sample_directions
     key, p = _raw_tie_key(e)
-    g = CubeGraph(14)  # m = 3.5 passes
+    g = CubeGraph(_TIE_D)
     half = 1 << (g.d - 1)
     for q, is_open in ((p, False), (math.nextafter(p, 1.0), True)):
         assert (uniform01(key, e) < q) == is_open
