@@ -148,12 +148,15 @@ def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
 
 def _jump(f: np.ndarray, spare: np.ndarray) -> None:
     # f jumped in place to its fixed point f = f[f].  Full passes by ranges
-    # alternate between the two arrays until one moves at most 1/8 of the
-    # labels; the passes after it visit only the labels it moved
-    # (``_jump_tail``).  A pass that moves no label leaves the two arrays
-    # equal, so f holds the fixed point whichever of them it wrote
+    # alternate between the two arrays.  On an array longer than one range,
+    # once a pass moves at most 1/8 of the labels, the passes after it
+    # visit only the labels it moved (``_jump_tail``); on one range the
+    # tail's own calls cost what they save (d = 14 trials ran 2 % slower
+    # with it).  A pass that moves no label leaves the two arrays equal, so
+    # f holds the fixed point whichever of them it wrote
+    sparse = f.size >> 3 if f.size > _TASK else 0
     src, dst = f, spare
-    while (moved := sum(_jump_range(src, dst, s) for s in _tasks(f.size))) > f.size >> 3:
+    while (moved := sum(_jump_range(src, dst, s) for s in _tasks(f.size))) > sparse:
         src, dst = dst, src
     if moved:
         _jump_tail(f, dst, src, moved)
@@ -521,10 +524,10 @@ def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> Co
     ~36 % of the vertices as roots.  When no pair is left, f is mapped
     through its root ids and fk to vertex labels, in place.
 
-    Every pointer jump ends sparse (Ligra's active set, Shun & Blelloch
-    2013): only a label that moved in a pass can move in the next, so once
-    a full pass moves at most 1/8 of the labels, the passes after it visit
-    the labels it moved alone.  The first jump of a d = 20, c = 2 draw
+    A pointer jump over more than ``_TASK`` labels ends sparse (Ligra's
+    active set, Shun & Blelloch 2013): only a label that moved in a pass
+    can move in the next, so once a full pass moves at most 1/8 of the
+    labels, the passes after it visit the labels it moved alone.  The first jump of a d = 20, c = 2 draw
     moves ~39 %, 23 % and 7 % of the labels in full passes, then the rest
     sparsely, where two more full passes moved 0.3 % and none; the last
     later round's one full pass over the ~4 * 10^5 root ids moves a few

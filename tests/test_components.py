@@ -524,21 +524,23 @@ def _forests(n):
     yield f
 
 
-@pytest.mark.parametrize("task", [1 << 5, 1 << 9, _TASK])
+@pytest.mark.parametrize("task", [1 << 5, 1 << 9, 1 << 12])
 def test_jump_tail_reaches_the_fixed_point(monkeypatch, task):
     # the sparse tail after the last full pass, whichever array that pass
     # wrote, over the moved labels by ranges of several sizes: f ends at
-    # the reference fixed point
+    # the reference fixed point.  Only an array longer than one range
+    # takes the tail
     wrote = Counter()
     real = components._jump_tail
 
     def tail(f, last, before, moved):
+        assert f.size > task
         wrote[last is f] += 1
         return real(f, last, before, moved)
 
     monkeypatch.setattr(components, "_jump_tail", tail)
     monkeypatch.setattr(components, "_TASK", task)
-    for n in (1, 7, 100, 4096, 20000):
+    for n in (1, 7, 100, 4096, 20000, 50000):
         for f0 in _forests(n):
             f = f0.copy()
             components._jump(f, np.empty_like(f))
@@ -547,7 +549,7 @@ def test_jump_tail_reaches_the_fixed_point(monkeypatch, task):
 
 
 @pytest.mark.parametrize("d", [10, 12])
-@pytest.mark.parametrize("task", [1 << 5, 1 << 9, _TASK])
+@pytest.mark.parametrize("task", [1 << 5, 1 << 7, 1 << 9])
 def test_gray_code_path_through_the_jump_tail(monkeypatch, d, task):
     # the Gray-code Hamiltonian path hooks into deep trees, whose jumps end
     # in long sparse tails: one component labeled 0, on one thread and two
@@ -571,7 +573,8 @@ def test_gray_code_path_through_the_jump_tail(monkeypatch, d, task):
 def test_jump_tail_saves_full_passes_at_d20(monkeypatch):
     # every jump of a d = 20 labeling reaches the reference fixed point in
     # no more full passes (_jump_range calls per range) than the reference
-    # takes, and the labeling in fewer: the first jump alone drops two
+    # takes, the same on arrays of one range, and the labeling in fewer:
+    # the first jump alone drops two
     calls = []
     real_jump, real_range = components._jump, components._jump_range
 
@@ -594,6 +597,7 @@ def test_jump_tail_saves_full_passes_at_d20(monkeypatch):
         assert np.array_equal(f, fixed)
         full.append(ranges // len(_tasks(f0.size)))
         reference.append(passes)
+        assert full[-1] == passes or f0.size > _TASK
     assert all(a <= b for a, b in zip(full, reference))
     assert full[0] <= reference[0] - 2 and sum(full) < sum(reference)
 
