@@ -98,11 +98,12 @@ def thread_count(d: int, processes: int = 1) -> int:
     ``usable_cpus() // processes``, at most ``_MAX_THREADS``.
 
     Whole supercritical trials at c = 2 on 2 CPUs, the halves on two
-    threads against the whole on one (median per-draw ratios,
-    ``BENCH_20.json``, 60 draws each, in a quiet spell of the host):
-    d = 16 0.60x, d = 17 1.01x, d = 18 1.15x, d = 19 1.26x and d = 20
-    1.38x.  When the host takes CPU time from the process, two threads
-    gain less or lose (ibid.)."""
+    threads against the whole on one (one-thread over two-thread time,
+    median per-draw ratios, ``BENCH_23.json``, 60 draws each): d = 16
+    0.72x, d = 17 1.09x, d = 18 1.18x, d = 19 1.40x and d = 20 1.59x.
+    An earlier run read d = 17 at 0.92x, so d = 17 keeps one thread.
+    When the host takes CPU time from the process, two threads gain less
+    or lose (``BENCH_20.json``)."""
     if 1 << d <= _TASK:
         return 1
     return max(1, min(_MAX_THREADS, usable_cpus() // processes))
