@@ -575,29 +575,28 @@ def test_jump_tail_saves_full_passes_at_d20(monkeypatch):
     # no more full passes (_jump_range calls per range) than the reference
     # takes, the same on arrays of one range, and the labeling in fewer:
     # the first jump alone drops two
-    calls = []
+    calls, ranges = [], Counter()
     real_jump, real_range = components._jump, components._jump_range
 
     def jump(f, spare):
-        calls.append([f.copy(), 0])
+        before, start = f.copy(), ranges["full"]
         real_jump(f, spare)
-        calls[-1][0] = (calls[-1][0], f.copy())
+        calls.append((before, f.copy(), ranges["full"] - start))
 
     def jump_range(f, out, s):
-        calls[-1][1] += 1
+        ranges["full"] += 1
         return real_range(f, out, s)
 
     monkeypatch.setattr(components, "_jump", jump)
     monkeypatch.setattr(components, "_jump_range", jump_range)
-    g = CubeGraph(20)
-    label_sample(g, SampleKey(3), 2 / 20)
+    label_sample(CubeGraph(20), SampleKey(3), 2 / 20)
     full, reference = [], []
-    for (f0, f), ranges in calls:
-        fixed, passes = _fixed_point(f0)
-        assert np.array_equal(f, fixed)
-        full.append(ranges // len(_tasks(f0.size)))
+    for before, after, calls_made in calls:
+        fixed, passes = _fixed_point(before)
+        assert np.array_equal(after, fixed)
+        full.append(calls_made // len(_tasks(before.size)))
         reference.append(passes)
-        assert full[-1] == passes or f0.size > _TASK
+        assert full[-1] == passes or before.size > _TASK
     assert all(a <= b for a, b in zip(full, reference))
     assert full[0] <= reference[0] - 2 and sum(full) < sum(reference)
 
@@ -805,7 +804,6 @@ def test_result_takes_the_two_largest_sizes(sizes, top):
     sizes = np.array(sizes, dtype=np.intp)
     lab = components._result(np.zeros(2, dtype=np.int32), sizes, np.arange(sizes.size, dtype=np.int32), 0)
     assert (lab.l1, lab.l2) == top
-    assert (lab.l1, lab.l2) == tuple((sorted(sizes.tolist(), reverse=True) + [0])[:2])
 
 
 def test_label_sample_footprint_d16():

@@ -161,6 +161,10 @@ def test_raw_tie_at_a_pass_boundary(e):
         (7, _BLOCK),
         (5, 3 * _BLOCK + 7),
         (2**40 - 3, _BLOCK + 1),
+        (0, 32767),  # windows within one pass and across two
+        (0, 32768),
+        (5, 3 * 32768 + 7),
+        (2**40 - 3, 32769),
         (0, _PASS - 1),
         (0, _PASS),
         (5, 3 * _PASS + 7),
