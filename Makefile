@@ -20,12 +20,15 @@
 #             rows differ (scripts/trial_pairs.py); THREADS="1 2" sets the
 #             two sides' thread counts (with PARENT=HEAD: one against two
 #             threads on the same code)
+# make lines  the lines of src/cubeperc that hold code, per module and in
+#             total: no blank lines, comments or docstrings
+#             (scripts/code_lines.py)
 
 WORKLOADS = giant-d20 explore-d20 sweep-d14
 D = 24
 N = 60
 
-.PHONY: test check pairs footprint trials
+.PHONY: test check pairs footprint trials lines
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -50,3 +53,6 @@ footprint:
 
 trials:
 	python3 scripts/trial_pairs.py --parent "$(PARENT)" --d $(D) --n $(N) $(if $(THREADS),--threads $(THREADS))
+
+lines:
+	python3 scripts/code_lines.py

@@ -126,17 +126,12 @@ def _side_by_side(first: Callable[[], object], second: Callable[[], object]) -> 
         return first(), later.result()
 
 
-def _split(n: int, parts: int) -> list[slice]:
-    """[0, n) as at most ``parts`` consecutive, disjoint, nonempty slices of
-    near-equal length, in order; one empty slice when n = 0."""
-    parts = max(1, min(parts, n))
-    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
-
-
 def _tasks(n: int) -> list[slice]:
-    # [0, n) as near-equal consecutive ranges of at most _TASK entries; one
-    # range without _split's arithmetic, which a small cube would feel
-    return [slice(0, n)] if n <= _TASK else _split(n, -(-n // _TASK))
+    # [0, n) as consecutive, disjoint, nonempty ranges of near-equal length
+    # and at most _TASK entries, in order; one range when n <= _TASK, built
+    # without the per-range arithmetic, which a small cube would feel
+    parts = -(-n // _TASK)
+    return [slice(0, n)] if parts <= 1 else [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
 def _jump_range(f: np.ndarray, out: np.ndarray, s: slice) -> int:
@@ -349,11 +344,26 @@ def _result(f: np.ndarray, sizes: np.ndarray, labels: np.ndarray, open_edges: in
     )
 
 
-def _count(f: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the sizes and the labels of the components in the vertex labels f, by
-    # ascending label; ``ordered`` is scratch of f's length, f sorted.  On
-    # the giant-dominated labels of a supercritical draw the sort beats
-    # bincount, and it needs no intp copy of f or n-length int64 counts
+def _labeled(f: np.ndarray, scratch: list, bases: list[np.ndarray], offset: int) -> tuple[np.ndarray, np.ndarray]:
+    # a part of the cube, the whole or a half, labeled in its own ids from
+    # f = identity: the first phase and the later rounds over its bases,
+    # one array per direction.  ``bases`` is emptied once the first phase
+    # has read it, so that a fresh list is freed before the later rounds.
+    # Returns the labels of its root ids and its roots as vertices of the
+    # cube: its own ids plus ``offset``
+    k, bits, parts = _first_phase(f, scratch, bases)
+    bases.clear()
+    return _later_rounds(k, parts), _roots(bits, k, offset)
+
+
+def _counted(fk: np.ndarray, f: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a part's labels f mapped from its root ids to vertex labels through
+    # fk, in place; returns the sizes and the labels of the components in
+    # f, by ascending label.  ``ordered`` is scratch of f's length, f
+    # sorted.  On the giant-dominated labels of a supercritical draw the
+    # sort beats bincount, and it needs no intp copy of f or n-length int64
+    # counts
+    _gather(fk, f)
     np.copyto(ordered, f)
     ordered.sort()
     first = np.empty(f.size + 1, dtype=bool)  # a label starts at k; k = n closes the last
@@ -368,33 +378,24 @@ def _label_whole(g: CubeGraph, bases: list[np.ndarray]) -> ComponentLabeling:
     # the labeling on this thread (see label_sample)
     f = np.arange(g.n, dtype=np.int32)
     open_edges = sum(u.size for u in bases)
-    k, bits, parts = _first_phase(f, [np.empty_like(f)], bases)
-    del bases  # the only reference when the caller passes a fresh list
-    fk = _later_rounds(k, parts)
-    roots = _roots(bits, k)
-    del bits
+    fk, roots = _labeled(f, [np.empty_like(f)], bases, 0)
     _gather(roots, fk)  # each root id's label, as a vertex
     del roots
-    _gather(fk, f)
-    del fk
-    return _result(f, *_count(f, np.empty_like(f)), open_edges)
+    return _result(f, *_counted(fk, f, np.empty_like(f)), open_edges)
 
 
-def _half(f: np.ndarray, scratch: list, bases_of: Callable[[], list], offset: int) -> tuple:
-    # one half labeled in its own ids, f from its own identity: the first
-    # phase and the later rounds over its bases ``bases_of()``, one array
-    # per direction, the top direction's last (as the lower half's
-    # vertices, left for the join).  Returns (top bases, open edges, the
-    # labels of the root ids, the roots as vertices of the cube: its own
-    # ids plus ``offset``)
+def _half(f: np.ndarray, scratch: list, bases_of: Callable[[range], list], window: range) -> tuple:
+    # one half labeled in its own ids (``_labeled``) over its ``window`` of
+    # every direction's counters, the top direction's bases left for the
+    # join as lower-half vertices: a window from counter s holds them from
+    # vertex s, and the half's own vertices from 2s.  Returns (top bases,
+    # open edges, the labels of the root ids, the roots as vertices)
     f[:] = np.arange(f.size, dtype=f.dtype)
-    bases = bases_of()
+    bases = bases_of(window)
     top = bases.pop()
+    top += window.start
     opened = top.size + sum(u.size for u in bases)
-    k, bits, parts = _first_phase(f, scratch, bases)
-    del bases
-    fk = _later_rounds(k, parts)
-    return top, opened, fk, _roots(bits, k, offset)
+    return top, opened, *_labeled(f, scratch, bases, 2 * window.start)
 
 
 def _top_pairs(fa: np.ndarray, fb: np.ndarray, fk: np.ndarray, ka: int, tops: tuple) -> list:
@@ -408,15 +409,6 @@ def _top_pairs(fa: np.ndarray, fb: np.ndarray, fk: np.ndarray, ka: int, tops: tu
     ]
 
 
-def _counted_half(fk: np.ndarray, f: np.ndarray, ordered: np.ndarray) -> tuple:
-    # one half mapped back and counted on its own thread: f, the half's
-    # labels, from its root ids to vertex labels through fk, its part of
-    # the joined labels; returns its components' sizes and labels
-    # (``_count``)
-    _gather(fk, f)
-    return _count(f, ordered)
-
-
 def _merged(h: int, lower: tuple, upper: tuple) -> tuple[np.ndarray, np.ndarray]:
     # the sizes and labels of the cube's components from each half's.  A
     # label is its component's minimum, so an upper label below h is a
@@ -428,15 +420,16 @@ def _merged(h: int, lower: tuple, upper: tuple) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate((sizes_a, sizes_b[j:])), np.concatenate((labels_a, labels_b[j:]))
 
 
-def _label_halves(g: CubeGraph, lower: Callable[[], list], upper: Callable[[], list]) -> ComponentLabeling:
-    # the labeling with each half on a thread of its own (see label_sample).
-    # f and every half-length scratch array are allocated on this thread
+def _label_halves(g: CubeGraph, bases_of: Callable[[range], list]) -> ComponentLabeling:
+    # the labeling with each half on a thread of its own (see label_sample),
+    # each over its half of every direction's counters.  f and every
+    # half-length scratch array are allocated on this thread
     h = g.n >> 1
     f = np.empty(g.n, dtype=np.int32)
     fa, fb = f[:h], f[h:]
     (top_a, open_a, fk_a, roots_a), (top_b, open_b, fk_b, roots_b) = _side_by_side(
-        partial(_half, fa, [np.empty(h, dtype=np.int32)], lower, 0),
-        partial(_half, fb, [np.empty(h, dtype=np.int32)], upper, h),
+        partial(_half, fa, [np.empty(h, dtype=np.int32)], bases_of, range(h >> 1)),
+        partial(_half, fb, [np.empty(h, dtype=np.int32)], bases_of, range(h >> 1, h)),
     )
     ka, kb = fk_a.size, fk_b.size
     fk = np.empty(ka + kb, dtype=np.int32)  # the upper half's ids follow the lower half's ka
@@ -450,7 +443,7 @@ def _label_halves(g: CubeGraph, lower: Callable[[], list], upper: Callable[[], l
     _gather(roots, fk)  # each root id's label, as a vertex
     del roots
     ordered = np.empty_like(f)
-    counts = _side_by_side(partial(_counted_half, fk[:ka], fa, ordered[:h]), partial(_counted_half, fk[ka:], fb, ordered[h:]))
+    counts = _side_by_side(partial(_counted, fk[:ka], fa, ordered[:h]), partial(_counted, fk[ka:], fb, ordered[h:]))
     del fk, ordered
     return _result(f, *_merged(h, *counts), open_a + open_b)
 
@@ -461,29 +454,33 @@ def label_components(g: CubeGraph, open_edges) -> ComponentLabeling:
     mask = open_edges.open_mask if isinstance(open_edges, EdgeSample) else np.asarray(open_edges, dtype=bool)
     if mask.shape != (g.m,):
         raise ValueError(f"open mask must have shape ({g.m},), got {mask.shape}")
-    return _label_whole(g, [direction_bases(row, i) for i, row in enumerate(mask.reshape(g.d, -1))])
+    rows = mask.reshape(g.d, -1)
+    return label_windows(g, lambda window: [direction_bases(row[window.start:window.stop], i) for i, row in enumerate(rows)])
 
 
 def label_windows(g: CubeGraph, bases_of: Callable[[range], list], threads: int = 1) -> ComponentLabeling:
     """The labeling of the open edges that ``bases_of(window)`` gives for a
-    window of every direction's counters (``sample_directions``): one array
-    of int32 base endpoints per direction, in the window's own vertex ids
-    below the top direction and as lower-half vertices in it.  On one
-    thread the window is all of them; with ``threads`` >= 2 each half of
-    the cube calls ``bases_of`` on its own window, on a thread of its own
-    (see ``label_sample``)."""
+    window of every direction's counters (``sample_directions``): for each
+    direction i, the ``direction_bases(open, i)`` of the window's open bits,
+    unshifted, so entry k is counter window.start + k, in a list of its own,
+    which the labeling empties, of arrays it may write to.  On one thread
+    the window is all 2^(d-1) counters and the bases are the cube's
+    vertices.  With ``threads`` >= 2 each half of the cube calls ``bases_of``
+    on its own half of the counters, on a thread of its own, and gets its
+    own vertex ids below the top direction; its top direction's bases are
+    shifted by window.start where the halves split, to lower-half vertices
+    (see ``label_sample``).  Both thread counts run one labeling core: the
+    first phase, the later rounds and the roots of a part of the cube (the
+    whole or a half), then its map back to vertex labels and its count."""
     if _checked(threads) == 1 or g.d == 1:
         return _label_whole(g, bases_of(range(g.n >> 1)))
-    q = g.n >> 2  # each half's share of a direction's 2^(d-1) counters
-    return _label_halves(g, partial(bases_of, range(q)), partial(bases_of, range(q, 2 * q)))
+    return _label_halves(g, bases_of)
 
 
 def _sample_bases(g: CubeGraph, key: SampleKey, p: float, window: range) -> list[np.ndarray]:
     # the open base endpoints of every direction over a window of its
     # counters, sampled into one buffer, as label_windows takes them
-    bases = [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p, window))]
-    bases[-1] += window.start
-    return bases
+    return [direction_bases(mask, i) for i, mask in enumerate(sample_directions(g, key, p, window))]
 
 
 def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> ComponentLabeling:
@@ -539,25 +536,26 @@ def label_sample(g: CubeGraph, key: SampleKey, p: float, threads: int = 1) -> Co
     of Q^(d-1), the vertices below 2^(d-1) and those above, joined by the
     perfect matching of the top direction d - 1.  Each half samples its own
     window of every direction's counters (the counters are keyed, so the
-    split moves no bit) and runs the labeling above, first phase and later
-    rounds, in its own vertex ids, the lower half on the calling thread and
-    the upper on a second one; each also writes its own identity first and
-    unpacks its own roots last.  The calling thread then joins them: the
-    upper half's root ids follow the lower half's k_A, each half's labels
-    of its root ids start the joined labels fk, and each open top edge
-    (u, u + 2^(d-1)) adds the pair (fk[f_A[u]], fk[k_A + f_B[u]]).  The
-    later rounds run unchanged on the k_A + k_B root ids along these pairs,
-    and fk is mapped to vertices.  Each half then maps back to vertex
-    labels, sorts them and counts its components on its own thread, and
-    the calling thread merges the two lists: an upper label below 2^(d-1)
-    names a component whose minimum is a lower vertex, so it is in the
-    lower list, and its count is added there; the other upper labels
-    follow the lower ones.  So one labeling forks twice, and the later
-    rounds of each half, which at d = 24 took a third of a two-thread
-    labeling when they ran after the join, run side by side as well.  The
-    two threads share no array they write: each writes its own half of f,
-    of the scratch and of the sort's copy, which the calling thread
-    allocates, so that the largest arrays do not live in the second
+    split moves no bit) and runs the same core as the whole cube, first
+    phase, later rounds and root unpacking, in its own vertex ids, the
+    lower half on the calling thread and the upper on a second one; only
+    its top direction's bases, shifted to lower-half vertices, are left
+    for the join.  The calling thread then joins them: the upper half's
+    root ids follow the lower half's k_A, each half's labels of its root
+    ids start the joined labels fk, and each open top edge (u, u + 2^(d-1))
+    adds the pair (fk[f_A[u]], fk[k_A + f_B[u]]).  The later rounds run
+    unchanged on the k_A + k_B root ids along these pairs, and fk is
+    mapped to vertices.  Each half then maps back to vertex labels, sorts
+    them and counts its components on its own thread, as the whole cube
+    does on one, and the calling thread merges the two lists: an upper
+    label below 2^(d-1) names a component whose minimum is a lower vertex,
+    so it is in the lower list, and its count is added there; the other
+    upper labels follow the lower ones.  So one labeling forks twice, and
+    the later rounds of each half, which at d = 24 took a third of a
+    two-thread labeling when they ran after the join, run side by side as
+    well.  The two threads share no array they write: each writes its own
+    half of f, of the scratch and of the sort's copy, which the calling
+    thread allocates, so that the largest arrays do not live in the second
     thread's malloc arena.
 
     Memory decides where each array lives.  The scratch array (the first

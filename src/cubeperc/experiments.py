@@ -95,12 +95,12 @@ def _subcritical_trial(args, threads: int = 1) -> dict:
 
 
 def _round1_bases(g, seed, trial, p1, p2, extra, window) -> list:
-    # round 1's open bases over a window of every direction's counters, as
-    # label_windows takes them.  The edges that only round 2 opens go to
-    # extra[1] from the upper half's window and to extra[0] from any other,
-    # so no list is written by two threads, as (direction, bases in vertex
-    # ids): a window from counter s starts at vertex 2s below the top
-    # direction and at vertex s in it
+    # round 1's open bases over a window of every direction's counters, in
+    # the window's own ids, as label_windows takes them.  The edges that
+    # only round 2 opens go to extra[1] from the upper half's window and to
+    # extra[0] from any other, so no list is written by two threads, as
+    # (direction, bases in vertex ids): a window from counter s starts at
+    # vertex 2s below the top direction and at vertex s in it
     added = extra[window.start > 0]
     rounds = zip(
         sample_directions(g, SampleKey(seed, trial, 1), p1, window),
@@ -110,7 +110,6 @@ def _round1_bases(g, seed, trial, p1, p2, extra, window) -> list:
     for i, (open1, open2) in enumerate(rounds):
         bases.append(direction_bases(open1, i))
         added.append((i, direction_bases(open2 & ~open1, i) + (window.start if i == g.d - 1 else 2 * window.start)))
-    bases[-1] += window.start
     return bases
 
 

@@ -12,7 +12,6 @@ import cubeperc.components as components
 from cubeperc.components import (
     _TASK,
     ExplorationResult,
-    _split,
     _tasks,
     distance_to_set,
     explore_component,
@@ -172,7 +171,7 @@ def _labeling_fields(lab, threshold, g):
 
 
 @given(
-    st.integers(1, 13),  # 2^(d-1) < _BLOCK: one sampling buffer holds every direction
+    st.integers(1, 13),  # one sampling call for every direction through d = 12, one per direction at d = 13
     st.integers(0, 2**64 - 1),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     st.data(),
@@ -209,19 +208,20 @@ def test_label_sample_matches_adapter_per_direction(d):
 
 
 def _label_bases(g, bases, threads=1):
-    # the labeling of the given bases of every direction (``direction_bases``),
-    # on one thread or, for any threads >= 2, on the halves: each
-    # direction's sorted bases sliced at the halves' boundary, in each
-    # half's own ids, and the top direction's with the lower half
-    if threads == 1 or g.d == 1:
-        return components._label_whole(g, bases)
-    h = g.n >> 1
-    cuts = [int(np.searchsorted(u, h)) for u in bases[:-1]]  # where each direction's upper bases start
-    return components._label_halves(
-        g,
-        lambda: [u[:j] for u, j in zip(bases, cuts)] + [bases[-1]],
-        lambda: [u[j:] - h for u, j in zip(bases, cuts)] + [bases[-1][:0]],
-    )
+    # the labeling of the given bases of every direction (``direction_bases``)
+    # through label_windows: a window of counters from s to t holds each
+    # direction's sorted bases from vertex 2s to 2t below the top direction
+    # and from s to t in it, in the window's own ids.  The windows are the
+    # whole cube's on one thread and each half's on two or more
+    def bases_of(window):
+        out = []
+        for i, u in enumerate(bases):
+            scale = 1 if i == g.d - 1 else 2
+            lo, hi = scale * window.start, scale * window.stop
+            out.append(u[np.searchsorted(u, lo):np.searchsorted(u, hi)] - lo)
+        return out
+
+    return label_windows(g, bases_of, threads)
 
 
 def _all_fields(lab):
@@ -426,24 +426,44 @@ def test_label_rejects_a_bad_thread_count(threads):
         label_sample(g, SampleKey(0), 0.5, threads)
 
 
-def test_split_covers_in_order():
-    # consecutive, disjoint, nonempty, near-equal ranges that cover [0, n)
-    for n in (0, 1, 2, 7, 64, 1000):
-        for parts in (1, 2, 3, 5, 8, 2000):
-            slices = _split(n, parts)
-            assert 1 <= len(slices) <= max(1, min(parts, n))
+def test_split_covers_in_order(monkeypatch):
+    # the passes' ranges (``_tasks``): consecutive, disjoint, nonempty,
+    # near-equal ranges of at most _TASK entries that cover [0, n), as few
+    # as fit; one range iff n <= _TASK, an empty one when n = 0
+    for task in (1, 2, 3, 5, 8, 2000, _TASK):
+        monkeypatch.setattr(components, "_TASK", task)
+        for n in (0, 1, 2, 7, 64, 1000, task - 1, task, task + 1, 2 * task, 5 * task + 3):
+            slices = _tasks(n)
+            assert len(slices) == max(1, -(-n // task))
             assert slices[0].start == 0 and slices[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
             lengths = [s.stop - s.start for s in slices]
             assert n == 0 or min(lengths) >= 1
-            assert max(lengths) - min(lengths) <= 1
-    # the passes' ranges: at most _TASK entries each, one range iff n <= _TASK
-    for n in (0, 1, _TASK - 1, _TASK, _TASK + 1, 2 * _TASK, 5 * _TASK + 3):
-        slices = _tasks(n)
-        assert slices[0].start == 0 and slices[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-        assert all(s.stop - s.start <= _TASK for s in slices)
-        assert (len(slices) == 1) == (n <= _TASK)
+            assert max(lengths) - min(lengths) <= 1 and max(lengths) <= task
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_label_windows_takes_unshifted_bases_per_window(d):
+    # bases_of(window) gives, for each direction, the direction_bases of the
+    # window's bits of a fixed mask, unshifted: label_windows labels the
+    # mask as label_components and the BFS oracle do, to every field, on one
+    # thread over one window of every counter and on two over each half's
+    g = CubeGraph(d)
+    windows = []
+    for trial, p in enumerate((0.0, 1.0, float(np.random.default_rng(d).random()))):
+        rows = sample_edges(g, SampleKey(2**43 + d, trial), p).open_mask.reshape(d, -1)
+
+        def bases_of(window):
+            windows.append(window)
+            return [direction_bases(row[window.start:window.stop], i) for i, row in enumerate(rows)]
+
+        expected = _all_fields(label_components(g, rows.ravel()))
+        assert expected[7] == _bfs_labels(g, rows.ravel())
+        q = g.n >> 2
+        for threads, cut in ((1, [range(2 * q)]), (2, [range(q), range(q, 2 * q)])):
+            windows.clear()
+            assert _all_fields(label_windows(g, bases_of, threads)) == expected
+            assert sorted(windows, key=lambda w: w.start) == cut
 
 
 def test_a_labeling_forks_twice_on_two_threads_and_never_on_one(monkeypatch):

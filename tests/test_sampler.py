@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cubeperc.sampler as sampler
 from cubeperc.hypercube import CubeGraph
 from cubeperc.sampler import (
     _BLOCK,
@@ -203,7 +204,7 @@ def test_open_bits_at_a_tie_of_the_raw_bits():
         assert sample_edges(g, key, q).open_mask[e] == is_open
 
 
-@pytest.mark.parametrize("d", [1, 2, 13, 14, 15])  # one buffer of all m counters below d = 14
+@pytest.mark.parametrize("d", [1, 2, 12, 13, 14, 15])  # one buffer of all m counters through d = 12
 @pytest.mark.parametrize("p", [0.0, 1.0, 0.2])
 def test_sample_directions_split_the_edge_mask(d, p):
     g = CubeGraph(d)
@@ -211,6 +212,32 @@ def test_sample_directions_split_the_edge_mask(d, p):
     rows = [mask.copy() for mask in sample_directions(g, key, p)]
     assert len(rows) == d and all(row.shape == (1 << (d - 1),) for row in rows)
     assert np.array_equal(np.concatenate(rows), sample_edges(g, key, p).open_mask)
+
+
+@pytest.mark.parametrize("d, joined", [(1, True), (2, True), (12, True), (13, False), (14, False)])
+def test_sample_directions_join_only_small_directions(monkeypatch, d, joined):
+    # one _open_bits call samples all d whole directions while 2^(d-1) <
+    # _BLOCK / 2 (through d = 12), one call per direction from d = 13 on
+    # and over any window less than a whole direction; the rows are the
+    # draw's either way
+    calls = []
+    real = sampler._open_bits
+
+    def counting(state, start, threshold, out):
+        calls.append((start, out.size))
+        real(state, start, threshold, out)
+
+    monkeypatch.setattr(sampler, "_open_bits", counting)
+    g = CubeGraph(d)
+    key = SampleKey(2**33 + 5, 1, 0)
+    half = 1 << (d - 1)
+    rows = [mask.copy() for mask in sample_directions(g, key, 0.3)]
+    assert calls == ([(0, g.m)] if joined else [(i * half, half) for i in range(d)])
+    assert np.array_equal(np.concatenate(rows), sample_edges(g, key, 0.3).open_mask)
+    if d > 1:
+        calls.clear()
+        list(sample_directions(g, key, 0.3, range(half >> 1, half)))
+        assert calls == [(i * half + (half >> 1), half >> 1) for i in range(d)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 13, 14, 16])

@@ -1,8 +1,8 @@
 """Smoke tests: each study script runs to completion at tiny sizes, the
 package API that ``perfbench/`` calls is still there at d = 4, the
 benchmark-pairs, footprint and trial-pairs tools plan their runs in
-alternating order, and their shared runner logs, summarizes and reports
-failed runs."""
+alternating order, their shared runner logs, summarizes and reports failed
+runs, and the code-line count skips blanks, comments and docstrings."""
 
 import importlib
 import json
@@ -144,6 +144,41 @@ def test_trial_call_takes_a_thread_count(monkeypatch):
     assert threads == experiments.thread_count(10) == 1
     forced, threads = trial_pairs.trial_call(experiments, 10, 2)
     assert threads == 2 and forced(3) == default(3)
+
+
+CODE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """A docstring."""
+    s = """a string,
+not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    "One-line docstring."
+    y = 1
+'''
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(monkeypatch, tmp_path, capsys):
+    # 8 lines hold code: the import, the def, the two-line string and the
+    # two-line return, the class and its body; every module is listed in
+    # path order, then the total
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    code_lines = importlib.import_module("code_lines")
+    assert code_lines.code_lines(CODE) == 8
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# only a comment\n")
+    assert code_lines.main([str(tmp_path / "pkg")]) == 0
+    assert capsys.readouterr().out.split("\n") == ["     8  a.py", "     1  b.py", "     9  total", ""]
 
 
 @pytest.fixture
