@@ -19,7 +19,10 @@
 #             supercritical trials per side: ms per trial; exit 1 when the
 #             rows differ (scripts/trial_pairs.py); THREADS="1 2" sets the
 #             two sides' thread counts (with PARENT=HEAD: one against two
-#             threads on the same code)
+#             threads on the same code); TRIALS=T times whole
+#             run_experiment calls of T trials instead, pool start-up
+#             included, on WORKERS="W" (or "PARENT CHANGE") workers;
+#             KIND=sprinkling times sprinkling trials
 # make lines  the lines of src/cubeperc that hold code, per module and in
 #             total: no blank lines, comments or docstrings
 #             (scripts/code_lines.py)
@@ -52,7 +55,8 @@ footprint:
 	python3 scripts/footprint.py --parent "$(PARENT)" --d "$(D)" --seeds $(SEEDS)
 
 trials:
-	python3 scripts/trial_pairs.py --parent "$(PARENT)" --d $(D) --n $(N) $(if $(THREADS),--threads $(THREADS))
+	python3 scripts/trial_pairs.py --parent "$(PARENT)" --d $(D) --n $(N) $(if $(THREADS),--threads $(THREADS)) \
+		$(if $(TRIALS),--trials $(TRIALS)) $(if $(WORKERS),--workers $(WORKERS)) $(if $(KIND),--kind $(KIND))
 
 lines:
 	python3 scripts/code_lines.py

@@ -53,7 +53,15 @@ def make_trees(parent: str) -> dict[str, Path]:
     for path in trees.values():
         shutil.rmtree(path, ignore_errors=True)
         path.mkdir(parents=True)
-    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=_git("archive", "--format=tar", parent), check=True)
+    # git archive pipes straight into tar: holding the archive as bytes and
+    # freeing it would raise glibc's mmap threshold in this process, and a
+    # tool that times trials in process (trial_pairs.py) would then miss the
+    # page faults a fresh process pays
+    archive = subprocess.Popen(["git", "archive", "--format=tar", parent], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise subprocess.CalledProcessError(archive.returncode, archive.args)
     for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0"):
         source = ROOT / name
         if name and source.is_file():  # a deleted file is still listed as cached

@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=f.metadata.get("choices"),
             help=f.metadata.get("help"),
         )
-    p_exp.add_argument("--workers", type=int, default=1)
+    p_exp.add_argument("--workers", type=int, default=1,
+                       help="processes, at most; fewer when the trials are too small to pay for a pool")
     p_exp.add_argument("--progress", action="store_true", help="trial counter on stderr")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -30,6 +30,7 @@ from .components import (
     extend,
     label_sample,
     label_windows,
+    process_count,
     size_gap_count,
     thread_count,
     w_set,
@@ -308,7 +309,7 @@ class Kind(NamedTuple):
     aggregate; whether its trials build Q^d (``cube``), the optional keys it
     reads besides ``param`` (``reads``: another kind's key must be unset)
     and whether it labels the whole cube (``labels``: the worker takes
-    ``threads``)."""
+    ``threads``, and ``process_count`` sizes its pool)."""
 
     param: str
     domain: str
@@ -571,7 +572,9 @@ def _map_trials(fn, args_list, workers, on_trial):
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
     """Run the config's trials, on at most ``min(workers, trials)`` processes.
-    A trial that labels the whole cube runs on the CPUs each process leaves
+    Kinds that label the whole cube start a pool only when the call's
+    labelings pay for it (``process_count``: one process per ``_TASK``
+    vertices labeled), and each trial runs on the CPUs its process leaves
     (``thread_count``).
 
     Rows depend only on (seed, trial), so the report bytes do not depend on
@@ -583,8 +586,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> Ex
     spec = KINDS[cfg.kind]
     block, params = spec.theory(cfg)
     args = [(cfg.seed, t, *params) for t in range(cfg.trials)]
-    processes = min(workers, cfg.trials)
-    trial = partial(spec.trial, threads=thread_count(cfg.d, processes)) if spec.labels else spec.trial
+    if spec.labels:
+        processes = process_count(cfg.d, cfg.trials, workers)
+        trial = partial(spec.trial, threads=thread_count(cfg.d, processes))
+    else:
+        processes, trial = min(workers, cfg.trials), spec.trial
     rows = _map_trials(trial, args, processes, on_trial)
     return ExperimentReport(cfg.echo(), block, rows, spec.aggregate(cfg, rows))
 

@@ -263,9 +263,29 @@ def test_rows_depend_only_on_seed_and_trial():
     assert short != other_seed
 
 
-def test_workers_do_not_change_output():
-    sequential = run_experiment(_small_super(trials=6))
-    parallel = run_experiment(_small_super(trials=6), workers=2)
+class _SpyPool(futures.ProcessPoolExecutor):
+    """A real ProcessPoolExecutor that records its size and each map call,
+    so a test can tell that the trials ran in worker processes."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.max_workers = max_workers
+
+    def map(self, fn, *iterables, **kwargs):
+        self.calls.append(self.max_workers)
+        return super().map(fn, *iterables, **kwargs)
+
+
+def test_workers_do_not_change_output(monkeypatch):
+    # 4 trials of 2^16 vertices label two _TASK ranges: a real pool starts
+    cfg = ExperimentConfig(kind="supercritical", d=16, c=2.0, trials=4, seed=0)
+    sequential = run_experiment(cfg)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _SpyPool)  # _map_trials imports it per pool
+    _SpyPool.calls = []
+    parallel = run_experiment(cfg, workers=2)
+    assert _SpyPool.calls == [2]
     assert sequential.to_json_bytes() == parallel.to_json_bytes()
 
 
@@ -296,13 +316,56 @@ class _RecordingPool:
 
 
 def test_pool_never_exceeds_trials(monkeypatch):
+    # at d = 17 each trial labels one _TASK range, so every trial pays for a process
     monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)  # _map_trials imports it per pool
     _RecordingPool.sizes = []
-    pooled = run_experiment(_small_super(trials=3), workers=64)
+    cfg = ExperimentConfig(kind="supercritical", d=17, c=2.0, trials=3, seed=0)
+    pooled = run_experiment(cfg, workers=64)
     assert _RecordingPool.sizes == [3]
-    run_experiment(_small_super(trials=1), workers=64)  # one trial: no pool at all
+    one = ExperimentConfig(kind="supercritical", d=17, c=2.0, trials=1, seed=0)
+    run_experiment(one, workers=64)  # one trial: no pool at all
     assert _RecordingPool.sizes == [3]
-    assert pooled.to_json_bytes() == run_experiment(_small_super(trials=3)).to_json_bytes()
+    assert pooled.to_json_bytes() == run_experiment(cfg).to_json_bytes()
+
+
+@pytest.mark.parametrize(
+    "d,trials,workers,processes",
+    [
+        (13, 10, 2, 1),  # 10 * 2^13 vertices, 0.6 _TASK ranges: no pool
+        (14, 10, 2, 1),  # 1.25 ranges, a sweep-d14 call: still serial
+        (14, 20, 2, 2),  # 2.5 ranges: a pool of two
+        (15, 10, 2, 2),
+        (16, 10, 2, 2),
+        (12, 100, 2, 2),  # many small trials add up
+        (12, 100, 8, 3),  # 3.1 ranges: three processes
+        (16, 1, 2, 1),  # one trial never pools
+        (20, 1, 2, 1),
+        (20, 10, 1, 1),  # one worker never pools
+    ]
+    + [(d, trials, 64, trials) for d in (17, 18, 20, 24) for trials in (1, 2, 3, 50)],  # d >= 17: min(workers, trials)
+)
+def test_process_count_rule(d, trials, workers, processes):
+    assert experiments.process_count(d, trials, workers) == processes
+
+
+@pytest.mark.parametrize(
+    "cfg,pools",
+    [
+        (ExperimentConfig(kind="supercritical", d=14, c=2.0, trials=10, seed=0), []),
+        (ExperimentConfig(kind="sprinkling", d=14, c=2.0, trials=10, seed=0), []),
+        (ExperimentConfig(kind="subcritical", d=14, eps=0.3, trials=20, seed=0), [2]),
+        # the kinds that do not label the cube keep min(workers, trials)
+        (ExperimentConfig(kind="gw", d=3, c=2.0, trials=4, seed=0), [2]),
+        (ExperimentConfig(kind="hitprob", d=10, c=2.0, trials=3, seed=0), [2]),
+    ],
+    ids=["supercritical", "sprinkling", "subcritical", "gw", "hitprob"],
+)
+def test_run_experiment_pools_by_process_count(monkeypatch, cfg, pools):
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    report = run_experiment(cfg, workers=2)
+    assert _RecordingPool.sizes == pools
+    assert report.to_json_bytes() == run_experiment(cfg).to_json_bytes()
 
 
 def _usable_cpus(monkeypatch, cpus):

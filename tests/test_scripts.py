@@ -1,7 +1,8 @@
 """Smoke tests: each study script runs to completion at tiny sizes, the
 package API that ``perfbench/`` calls is still there at d = 4, the
 benchmark-pairs, footprint and trial-pairs tools plan their runs in
-alternating order, their shared runner logs, summarizes and reports failed
+alternating order, the trial-pairs probes time single trials or whole
+calls, their shared runner logs, summarizes and reports failed
 runs, and the code-line count skips blanks, comments and docstrings."""
 
 import importlib
@@ -133,6 +134,39 @@ def test_trial_pairs_dry_run_alternates(tmp_path):
     ]
 
 
+def test_trial_pairs_dry_run_for_whole_calls(tmp_path):
+    # --trials times whole run_experiment calls in the same alternating
+    # order; --workers takes one count or the two sides' and needs --trials
+    script = str(ROOT / "scripts" / "trial_pairs.py")
+    base = [sys.executable, script, "--dry-run", "--parent", "no-such-revision", "--d", "14", "--n", "2"]
+    for workers in (["2"], ["2", "1"]):
+        proc = subprocess.run([*base, "--trials", "10", "--workers", *workers],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["d 14 draw 0 parent", "d 14 draw 0 change",
+                                           "d 14 draw 1 change", "d 14 draw 1 parent", ""]
+    for bad in (["--workers", "2"], ["--trials", "10", "--workers", "2", "1", "1"], ["--trials", "0"],
+                ["--trials", "10", "--threads", "1", "2"]):
+        proc = subprocess.run([*base, *bad], cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "error:" in proc.stderr, bad
+
+
+def test_experiment_call_times_a_whole_call(monkeypatch):
+    # a probe's call is run_experiment with config seed = draw; its count is
+    # the side's process_count, or min(workers, trials) on a side without one
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    trial_pairs = importlib.import_module("trial_pairs")
+    import cubeperc.experiments as experiments
+
+    call, processes = trial_pairs.experiment_call(experiments, 8, 3, 2, "sprinkling")
+    assert processes == 1
+    cfg = cp.ExperimentConfig(kind="sprinkling", d=8, c=trial_pairs.C, trials=3, seed=5)
+    assert call(5) == cp.run_experiment(cfg).rows
+    assert trial_pairs.experiment_call(experiments, 17, 3, 2)[1] == 2
+    monkeypatch.delattr(experiments, "process_count")
+    assert trial_pairs.experiment_call(experiments, 8, 3, 2)[1] == 2
+
+
 def test_trial_call_takes_a_thread_count(monkeypatch):
     # --threads sets a side's thread count in place of thread_count(d); the
     # rows do not depend on it
@@ -144,6 +178,8 @@ def test_trial_call_takes_a_thread_count(monkeypatch):
     assert threads == experiments.thread_count(10) == 1
     forced, threads = trial_pairs.trial_call(experiments, 10, 2)
     assert threads == 2 and forced(3) == default(3)
+    sprinkled, threads = trial_pairs.trial_call(experiments, 10, 2, "sprinkling")
+    assert threads == 2 and sprinkled(3) == trial_pairs.trial_call(experiments, 10, 1, "sprinkling")[0](3)
 
 
 CODE = '''"""Module docstring
