@@ -58,9 +58,12 @@ def make_trees(parent: str) -> dict[str, Path]:
     # tool that times trials in process (trial_pairs.py) would then miss the
     # page faults a fresh process pays
     archive = subprocess.Popen(["git", "archive", "--format=tar", parent], cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait():
+    try:
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        archive.wait()
+    if archive.returncode:
         raise subprocess.CalledProcessError(archive.returncode, archive.args)
     for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0"):
         source = ROOT / name

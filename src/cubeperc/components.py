@@ -20,8 +20,8 @@ on its own thread, and the calling thread merges the two counts.  numpy
 releases the interpreter lock inside its kernels.  The counters are keyed
 and the labels canonical, so no bit and no label depends on the split.
 The join's rounds, the merge and the statistics run on the calling thread.
-A call's process pool takes one process per ``_TASK`` vertices it labels
-(``process_count``).
+A call starts a process pool only when it labels at least two ``_TASK``
+ranges of vertices (``process_count``).
 
 Only the first hook and jump of a labeling run on n-length label arrays
 (of each half's length, on two threads).  The labeling then contracts onto
@@ -113,17 +113,18 @@ def thread_count(d: int, processes: int = 1) -> int:
 
 def process_count(d: int, trials: int, workers: int) -> int:
     """Processes for ``trials`` labelings of Q^d on at most ``workers``:
-    one per ``_TASK`` range of vertices the call labels, so a pool starts
-    only when the call labels at least two ranges, and never more processes
-    than trials.
+    ``min(workers, trials)`` once the call labels at least two ``_TASK``
+    ranges of vertices, else 1.  Only a pool of two against one process
+    was measured, so the pool's size does not scale with the ranges.
 
     Whole ``run_experiment`` calls on 2 CPUs, a pool of two against one
     process (medians of 20 alternating calls, ``BENCH_25.json``): 10
     supercritical trials at d = 14 (1.25 ranges) took 32.3 against 25.3 ms,
-    at d = 16 (5 ranges) 59.4 against 61.0 ms; 10 sprinkling trials at
-    d = 15 (2.5 ranges) 52.2 against 66.7 ms.  The crossover lies between 2
-    and 5 ranges for supercritical trials and below 2.5 for sprinkling."""
-    return max(1, min(workers, trials, (trials << d) // _TASK))
+    at d = 16 (5 ranges) 59.4 against 61.0 ms; sprinkling trials, 31 at
+    d = 13 (1.9 ranges) 72.9 against 75.0 ms and 10 at d = 15 (2.5 ranges)
+    52.2 against 66.7 ms.  The crossover lies between 2 and 5 ranges for
+    supercritical trials and near 2 for sprinkling."""
+    return min(workers, trials) if (trials << d) // _TASK > 1 else 1
 
 
 def _checked(threads: int) -> int:

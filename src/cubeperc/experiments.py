@@ -573,8 +573,8 @@ def _map_trials(fn, args_list, workers, on_trial):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_trial=None) -> ExperimentReport:
     """Run the config's trials, on at most ``min(workers, trials)`` processes.
     Kinds that label the whole cube start a pool only when the call's
-    labelings pay for it (``process_count``: one process per ``_TASK``
-    vertices labeled), and each trial runs on the CPUs its process leaves
+    labelings pay for it (``process_count``: at least two ``_TASK`` ranges
+    of vertices labeled), and each trial runs on the CPUs its process leaves
     (``thread_count``).
 
     Rows depend only on (seed, trial), so the report bytes do not depend on

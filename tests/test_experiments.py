@@ -337,7 +337,7 @@ def test_pool_never_exceeds_trials(monkeypatch):
         (15, 10, 2, 2),
         (16, 10, 2, 2),
         (12, 100, 2, 2),  # many small trials add up
-        (12, 100, 8, 3),  # 3.1 ranges: three processes
+        (12, 100, 8, 8),  # past two ranges the pool takes every worker
         (16, 1, 2, 1),  # one trial never pools
         (20, 1, 2, 1),
         (20, 10, 1, 1),  # one worker never pools
@@ -398,7 +398,8 @@ def _record_threads(monkeypatch, cpus):
         (2, 1, 19, 2),  # one trial needs no pool, so its process has both
         (1, 2, 18, 2),  # each half of 2^17 vertices fills a _TASK range
         (1, 2, 17, 1),  # a half smaller than a _TASK range: one thread
-        (2, 2, 16, 1),  # and so does a smaller cube, on any number of processes
+        (2, 2, 16, 1),  # and so does a smaller cube: one range, so no pool
+        (2, 4, 16, 1),  # two ranges: a pool of two, one thread each
         (1, 2, 15, 1),
     ],
 )

@@ -258,6 +258,28 @@ def test_pairs_summary_statistics(bench_pairs):
     assert bench_pairs.summarize(records[:1], METRICS) == ["0 complete pairs"]
 
 
+def test_make_trees_waits_for_git_archive_when_tar_fails(bench_pairs, monkeypatch, tmp_path):
+    # a failed tar still closes the archive's pipe and reaps git archive
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    def failing_tar(argv, **kwargs):
+        raise subprocess.CalledProcessError(2, argv)
+
+    monkeypatch.setattr(bench_pairs, "OUT", tmp_path)
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    monkeypatch.setattr(subprocess, "run", failing_tar)
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        bench_pairs.make_trees.__wrapped__("HEAD")
+    assert failed.value.cmd[0] == "tar"
+    [archive] = started
+    assert archive.stdout.closed and archive.returncode is not None
+
+
 def test_run_pairs_logs_each_run_and_reports_a_failure(bench_pairs, monkeypatch, tmp_path, capsys):
     # the probe sees each side's tree in the alternating order; a failed run
     # is logged without metrics and makes the run report failure
